@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint sarif build test race bench bench-smoke serve-smoke microbench clean
+.PHONY: ci vet lint sarif build test race perfbench-smoke serve-smoke microbench clean
 
 ci: vet lint build race
 
@@ -30,22 +30,24 @@ build:
 test:
 	$(GO) test ./...
 
+# The block A/B tests in internal/core and internal/trace give the
+# batched-synthesis refill path (a block buffer shared between fetch and
+# the generator) its -race coverage.
 race:
 	$(GO) test -race ./...
 
-# bench runs the tracked perf harness (cmd/bench): per-cell simulated
-# instructions/second with the stall fast-forward on and off, plus
-# per-class aggregates, written to BENCH_core.json at the repo root.
-bench:
-	$(GO) run ./cmd/bench -o BENCH_core.json
-
-# bench-smoke is the CI variant: one quick iteration, schema validated,
-# output discarded — proves the harness runs, measures nothing. It runs
-# race-instrumented so the batched synthesis refill path (block buffer
-# shared between fetch and the generator) gets -race coverage on every
-# PR, not just when someone remembers `make race`.
-bench-smoke:
-	$(GO) run -race ./cmd/bench -quick -o -
+# perfbench-smoke vets and tests the benchmark (perfbench/, a nested
+# module that the root `go test ./...` skips), then runs every workload
+# for one second at seed 42. Those runs check the recorded Stats digests;
+# the traced mem and chip runs also check that the fast-forward-off
+# re-runs reproduce them. Any failed check exits non-zero. It proves the
+# benchmark builds and is correct; one-second runs measure nothing.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	bash perfbench/run.sh --workload mem --seed 42 --seconds 1 --trace 1
+	bash perfbench/run.sh --workload compute --seed 42 --seconds 1
+	bash perfbench/run.sh --workload chip --seed 42 --seconds 1 --trace 1
+	bash perfbench/run.sh --workload serve --seed 42 --seconds 1
 
 # serve-smoke stands up rarserved (race-instrumented, ephemeral port),
 # drives it with rarload's hot/cold mix, and fails on any request error,

@@ -435,13 +435,19 @@ func (c *Core) Run(instructions uint64) (Stats, error) {
 // of the paper's warmed-up SimPoint measurement. Caches, predictors and
 // the SST stay trained across the boundary; only the counters reset.
 // Targets are relative to instructions already committed, so RunWarm can
-// be called repeatedly (see RunSampled).
+// be called repeatedly (see RunSampled). A target past the uint64
+// instruction count is an error.
 //
 //rarlint:hot
 func (c *Core) RunWarm(warmup, measured uint64) (Stats, error) {
 	base := c.s.Committed
 	warmTarget := base + warmup
-	total := base + warmup + measured
+	total := warmTarget + measured
+	if warmTarget < base || total < warmTarget {
+		//rarlint:allow hotalloc argument check before the first cycle, never inside the loop
+		return Stats{}, fmt.Errorf("core: warmup %d + measured %d instructions past the %d already committed overflows uint64",
+			warmup, measured, base)
+	}
 	c.commitBarrier = total
 	if warmup > 0 {
 		c.commitBarrier = warmTarget
@@ -464,23 +470,7 @@ func (c *Core) RunWarm(warmup, measured uint64) (Stats, error) {
 	// quiescence yet anyway).
 	progMark := c.progress - 1
 	for c.s.Committed < total {
-		c.cycle++
-		c.ledger.SetCycle(c.cycle)
-		if c.injNext < len(c.injSamples) {
-			c.processInjections()
-		}
-		c.tickBlocked()
-		c.completeStage()
-		c.commitStage()
-		c.modeStage()
-		c.issueStage()
-		c.dispatchStage()
-		c.fetchStage()
-		c.drainStores()
-
-		if c.auditEvery > 0 && c.cycle%c.auditEvery == 0 {
-			c.audit() //rarlint:allow hotalloc audits are opt-in debugging, off in production sweeps
-		}
+		c.Step()
 		if !warmTaken && c.s.Committed >= warmTarget {
 			c.finalizeStats()
 			warm = c.s
@@ -510,17 +500,15 @@ func (c *Core) RunWarm(warmup, measured uint64) (Stats, error) {
 	return c.s.sub(warm), nil
 }
 
-// Step advances the core by exactly one cycle. Run/RunWarm drive it
-// internally; multicore systems interleave Step calls across cores so
-// shared-LLC and DRAM contention resolves in lockstep.
+// Step advances the core by exactly one cycle; it is the only copy of the
+// per-cycle stage sequence. Run/RunWarm and drain call it in their loops;
+// multicore systems interleave Step calls across cores so shared-LLC and
+// DRAM contention resolves in lockstep.
 func (c *Core) Step() {
 	c.cycle++
 	c.ledger.SetCycle(c.cycle)
 	if c.injNext < len(c.injSamples) {
 		c.processInjections()
-	}
-	if c.auditEvery > 0 && c.cycle%c.auditEvery == 0 {
-		c.audit()
 	}
 	c.tickBlocked()
 	c.completeStage()
@@ -532,6 +520,9 @@ func (c *Core) Step() {
 		c.fetchStage()
 	}
 	c.drainStores()
+	if c.auditEvery > 0 && c.cycle%c.auditEvery == 0 {
+		c.audit() //rarlint:allow hotalloc audits are opt-in debugging, off in production sweeps
+	}
 }
 
 // Committed returns the number of instructions committed so far.

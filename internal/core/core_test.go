@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"rarsim/internal/config"
@@ -37,6 +38,32 @@ func TestRunCommitsExactly(t *testing.T) {
 		if st.Cycles == 0 || st.IPC() <= 0 || st.IPC() > float64(config.Baseline().Width) {
 			t.Errorf("%s: implausible IPC %v over %d cycles", s.Name, st.IPC(), st.Cycles)
 		}
+	}
+}
+
+// TestRunWarmRejectsOverflow: a commit target past the uint64 instruction
+// count is an error, not a run that wraps to an all-zero Stats, and
+// leaves the core usable.
+func TestRunWarmRejectsOverflow(t *testing.T) {
+	b, err := trace.ByName("libquantum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(config.Baseline(), config.OoO, b, 42)
+	if _, err := c.Run(1_000); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ warmup, measured uint64 }{
+		{1, math.MaxUint64},
+		{math.MaxUint64, 1},
+		{math.MaxUint64 - 500, 0}, // wraps only past the 1000 already committed
+	} {
+		if st, err := c.RunWarm(tc.warmup, tc.measured); err == nil {
+			t.Errorf("RunWarm(%d, %d) = %+v, nil; want an overflow error", tc.warmup, tc.measured, st)
+		}
+	}
+	if st, err := c.Run(1_000); err != nil || st.Committed != 1_000 {
+		t.Errorf("Run after rejected targets: committed %d, err %v", st.Committed, err)
 	}
 }
 

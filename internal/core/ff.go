@@ -61,9 +61,10 @@ const noEvent = ^uint64(0)
 const NoEventCycle = noEvent
 
 // SetStallFastForward enables or disables the stall fast-forward
-// (default: enabled). Disabling forces the classic cycle-by-cycle loop —
-// the -no-ff escape hatch used by the A/B equivalence tests and for
-// debugging; by the equivalence contract it changes wall-clock time only.
+// (default: enabled). Disabling forces the classic cycle-by-cycle loop,
+// the reference path of the A/B equivalence tests and of perfbench's
+// fast-forward-off re-runs; by the equivalence contract it changes
+// wall-clock time only.
 func (c *Core) SetStallFastForward(enabled bool) { c.noFF = !enabled }
 
 // FFSkippedCycles returns the number of cycles the stall fast-forward has
@@ -278,26 +279,16 @@ func (c *Core) SkipTo(target uint64) {
 }
 
 // skipStall bulk-advances the clock to just before the next event when the
-// core is quiescent. It must run at the bottom of a Run/RunWarm iteration,
-// after every stage of the current cycle has executed.
+// core is quiescent; the loop's next Step then executes the event cycle
+// itself through the normal stages. It must run at the bottom of a
+// Run/RunWarm iteration, after every stage of the current cycle has
+// executed. A core with no pending event at all is never skipped: the
+// plain loop keeps ticking so the watchdog reports the deadlock with
+// meaningful cycle numbers.
 func (c *Core) skipStall() {
-	target := c.nextEventCycle()
-	if target <= c.cycle+1 {
-		return // busy, or the next event is due anyway
+	if t := c.NextEventCycle(); t != NoEventCycle && t > c.cycle+1 {
+		c.bulkAdvance(t - 1 - c.cycle)
 	}
-	if target == noEvent {
-		// No pending event at all: the machine cannot make progress ever
-		// again. Do not skip — let the plain loop tick so the watchdog
-		// reports the deadlock with meaningful cycle numbers.
-		return
-	}
-	target = c.clampObligations(target)
-	if target <= c.cycle+1 {
-		return
-	}
-	// Advance to target-1; the loop's c.cycle++ then executes the event
-	// cycle itself through the normal stages.
-	c.bulkAdvance(target - 1 - c.cycle)
 }
 
 // bulkAdvance moves the clock n cycles forward in one step. The skipped

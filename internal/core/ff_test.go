@@ -187,8 +187,8 @@ func TestWatchdogSurvivesLongStall(t *testing.T) {
 // TestWatchdogLongStallStillTripsWithoutFF documents the flip side: with
 // the fast-forward disabled the same stall is ticked cycle by cycle, so the
 // watchdog (correctly, per its contract: ticked cycles without commit)
-// still reports it. Anyone running -no-ff with an exotic memory config sees
-// the pre-existing behaviour, not silent hours of simulation.
+// still reports it. A cycle-by-cycle reference run with an exotic memory
+// config sees the pre-existing behaviour, not silent hours of simulation.
 func TestWatchdogLongStallStillTripsWithoutFF(t *testing.T) {
 	b, err := trace.ByName("libquantum")
 	if err != nil {

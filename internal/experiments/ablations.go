@@ -222,9 +222,6 @@ func AblationMulticore(c Config) error {
 		if err != nil {
 			return nil, err
 		}
-		// -no-ff reaches the chip loop too: by the equivalence contract it
-		// changes wall-clock time only, never the reported tables.
-		sys.SetStallFastForward(!c.Opt.NoFastForward)
 		return sys.Run(c.Opt.Instructions)
 	}
 	base, err := build(config.OoO)

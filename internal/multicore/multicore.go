@@ -38,9 +38,9 @@ type System struct {
 	chip uint64 // chip cycle
 
 	// noFF disables the chip-level epoch fast-forward, forcing the classic
-	// cycle-by-cycle lockstep loop — the multicore face of the core's
-	// -no-ff escape hatch. By the equivalence contract it changes
-	// wall-clock time only, never per-core Stats.
+	// cycle-by-cycle lockstep loop (SetStallFastForward). By the
+	// equivalence contract it changes wall-clock time only, never per-core
+	// Stats.
 	noFF bool
 
 	// nextEv caches each core's NextEventCycle. A core whose cached event
@@ -98,8 +98,9 @@ func (s *System) Core(i int) *core.Core { return s.cores[i] }
 
 // SetStallFastForward enables or disables the chip-level epoch
 // fast-forward (default: enabled). Disabling forces the classic
-// cycle-by-cycle lockstep loop; by the equivalence contract it changes
-// wall-clock time only.
+// cycle-by-cycle lockstep loop, the reference path of the A/B equivalence
+// tests and of perfbench's fast-forward-off re-runs; by the equivalence
+// contract it changes wall-clock time only.
 func (s *System) SetStallFastForward(enabled bool) { s.noFF = !enabled }
 
 // FFSkippedCycles returns the total cycles the epoch fast-forward has

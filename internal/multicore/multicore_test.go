@@ -1,7 +1,9 @@
 package multicore
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"rarsim/internal/config"
@@ -154,5 +156,55 @@ func TestChipRelZeroDenominators(t *testing.T) {
 		} else if got != tc.want {
 			t.Errorf("%s = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestOneCoreChipMatchesRun pins the seam between the two drivers of
+// Core.Step: a one-core chip is the single-core model, so System.Run must
+// reproduce Core.Run field for field, with the fast-forward on and off on
+// both sides, and with invariant audits armed on both sides.
+func TestOneCoreChipMatchesRun(t *testing.T) {
+	const n = 20_000
+	type cell struct {
+		bench  string
+		scheme config.Scheme
+		ff     bool
+		audit  uint64
+	}
+	var cells []cell
+	for _, b := range []string{"mcf", "libquantum", "soplex", "x264"} {
+		for _, s := range []config.Scheme{config.OoO, config.FLUSH, config.RAR} {
+			cells = append(cells, cell{b, s, true, 0}, cell{b, s, false, 0})
+		}
+	}
+	cells = append(cells, cell{"mcf", config.RAR, true, 500})
+	for _, tc := range cells {
+		tc := tc
+		t.Run(fmt.Sprintf("%s/%s/ff=%v/audit=%d", tc.bench, tc.scheme.Name, tc.ff, tc.audit), func(t *testing.T) {
+			t.Parallel()
+			ld := loads(t, tc.scheme, tc.bench)
+			c := core.New(config.Baseline(), tc.scheme, ld[0].Bench, 42)
+			c.SetStallFastForward(tc.ff)
+			sys, err := New(config.Baseline(), ld, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.SetStallFastForward(tc.ff)
+			if tc.audit > 0 {
+				c.EnableAudit(tc.audit)
+				sys.Core(0).EnableAudit(tc.audit)
+			}
+			want, err := c.Run(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sys.Run(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[0], want) {
+				t.Errorf("one-core chip diverges from Core.Run:\nchip: %+v\ncore: %+v", got[0], want)
+			}
+		})
 	}
 }

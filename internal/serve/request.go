@@ -21,6 +21,11 @@ import (
 // split into several requests and still dedup/cache server-side.
 const maxCells = 4096
 
+// maxCellInsts bounds one cell's warmup plus measured instructions, so a
+// single cell cannot occupy a worker indefinitely: 100x the default cell,
+// about two minutes of simulation at ~0.8M instructions per second.
+const maxCellInsts = 100_000_000
+
 // MatrixRequest is the POST /matrix body. Empty lists select defaults:
 // the baseline core, the five headline schemes, and the memory-intensive
 // suite. Zero Instructions means the standard 1M-instruction cell;
@@ -122,6 +127,10 @@ func resolve(req MatrixRequest) (*matrixSpec, error) {
 	}
 	if spec.opt.Warmup == 0 {
 		spec.opt.Warmup = spec.opt.Instructions / 5
+	}
+	if spec.opt.Instructions > maxCellInsts || spec.opt.Warmup > maxCellInsts-spec.opt.Instructions {
+		return nil, fmt.Errorf("warmup %d + instructions %d exceeds the per-cell limit of %d instructions",
+			spec.opt.Warmup, spec.opt.Instructions, maxCellInsts)
 	}
 
 	spec.keys = make([]sim.CellKey, 0, cells)

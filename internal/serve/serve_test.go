@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -191,6 +192,17 @@ func TestValidation(t *testing.T) {
 	req.Cores = []string{"core-99"}
 	if status, _, _ = post(t, ts.URL+"/matrix", req, nil); status != http.StatusBadRequest {
 		t.Errorf("unknown core: status %d", status)
+	}
+	// The default warmup (instructions/5) would wrap the cell's total.
+	req = testRequest()
+	req.Instructions, req.Warmup = math.MaxUint64, 0
+	if status, _, _ = post(t, ts.URL+"/matrix", req, nil); status != http.StatusBadRequest {
+		t.Errorf("overflowing instruction count: status %d", status)
+	}
+	req = testRequest()
+	req.Instructions, req.Warmup = maxCellInsts, 1
+	if status, _, _ = post(t, ts.URL+"/matrix", req, nil); status != http.StatusBadRequest {
+		t.Errorf("instruction count over the per-cell cap: status %d", status)
 	}
 
 	resp, err := http.Post(ts.URL+"/matrix", "application/json", bytes.NewReader([]byte("{not json")))

@@ -41,10 +41,7 @@ type CellKey struct {
 	Bench  string
 	// Instructions, Warmup and Seed are the Options fields that affect
 	// the simulation outcome. Parallelism is deliberately excluded: it
-	// only schedules work, it never changes a cell's result. So is
-	// NoFastForward: the stall fast-forward's equivalence contract
-	// guarantees identical statistics either way, so both variants of a
-	// cell rightly share one cache slot.
+	// only schedules work, it never changes a cell's result.
 	Instructions uint64
 	Warmup       uint64
 	Seed         uint64

@@ -119,11 +119,6 @@ func TestKeyInvalidation(t *testing.T) {
 	if got := KeyFor(cfg, config.RAR, bench, par); got != base {
 		t.Error("parallelism must not affect the key")
 	}
-	noFF := opt
-	noFF.NoFastForward = true
-	if got := KeyFor(cfg, config.RAR, bench, noFF); got != base {
-		t.Error("the fast-forward toggle must not affect the key (results are identical by contract)")
-	}
 
 	mut := []struct {
 		name string
