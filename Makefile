@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint sarif build test race perfbench-smoke serve-smoke microbench clean
+.PHONY: ci vet lint build test race perfbench-smoke serve-smoke microbench clean
 
 ci: vet lint build race
 
@@ -18,11 +18,6 @@ vet:
 # vet rides along so `make lint` alone is the full static gate.
 lint: vet
 	$(GO) run ./cmd/rarlint -tests ./...
-
-# SARIF log for GitHub code scanning; exit code deliberately ignored
-# (the lint target is the gate, this is the upload artifact).
-sarif:
-	$(GO) run ./cmd/rarlint -sarif -tests ./... > rarlint.sarif || true
 
 build:
 	$(GO) build ./...

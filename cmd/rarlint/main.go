@@ -14,16 +14,19 @@
 //
 // Usage:
 //
-//	rarlint ./...                 # whole module, all checks (CI mode)
-//	rarlint -check ffsound        # one check (-checks is an alias)
-//	rarlint -json ./...           # schema-stable JSON findings for CI
-//	rarlint -tests ./...          # load and analyze _test.go files too
-//	rarlint path/to/module        # another module root (e.g. a corpus)
+//	rarlint ./...                     # whole module, all checks (CI mode)
+//	rarlint -checks ffsound,skipset   # a subset of the checks
+//	rarlint -json ./...               # schema-stable JSON findings for CI
+//	rarlint -tests ./...              # load and analyze _test.go files too
+//	rarlint path/to/module            # another module root (e.g. a corpus)
 //
 // Exit status: 0 clean, 1 findings, 2 load error. Audited exceptions are
-// annotated in place:
+// annotated in place, on the flagged line or alone on the line above it:
 //
 //	start := time.Now() //rarlint:allow determinism host-side timing
+//
+// Every other directive goes in the doc or trailing comment of the
+// struct field or function it governs.
 //
 // See README.md ("Static analysis: rarlint") and DESIGN.md §6 and §8
 // ("Statically enforced invariants").

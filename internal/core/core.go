@@ -230,42 +230,28 @@ type Stats struct {
 	Scheme    string
 	CoreName  string
 
-	Cycles uint64 //rarlint:unit cycles
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
+	Cycles    uint64 //rarlint:unit cycles
 	Committed uint64 //rarlint:unit insts
 
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	CommittedLoads uint64 //rarlint:unit insts
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	CommittedStores uint64 //rarlint:unit insts
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
+	CommittedLoads    uint64 //rarlint:unit insts
+	CommittedStores   uint64 //rarlint:unit insts
 	CommittedBranches uint64 //rarlint:unit insts
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	Mispredicts      uint64 //rarlint:unit insts
-	WrongPathFetched uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
+	Mispredicts       uint64 //rarlint:unit insts
+	WrongPathFetched  uint64
 
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	RunaheadEntries uint64 //rarlint:survives statistics counter: runahead activity is metered, not squashed
+	RunaheadEntries uint64
 	//rarlint:nscaled mode-cycle counter: scales linearly with the skipped span
-	RunaheadCycles uint64 //rarlint:unit cycles
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
+	RunaheadCycles   uint64 //rarlint:unit cycles
 	RunaheadExecuted uint64 //rarlint:unit uops -- executed in runahead mode
-	//rarlint:survives statistics counter: runahead activity is metered, not squashed
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	RunaheadDropped uint64 //rarlint:unit uops -- filtered or INV-dropped in runahead
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	Flushes uint64 // FLUSH-scheme pipeline flushes
+	RunaheadDropped  uint64 //rarlint:unit uops -- filtered or INV-dropped in runahead
+	Flushes          uint64 // FLUSH-scheme pipeline flushes
 
 	// Activity counters for energy accounting: everything that consumed
 	// pipeline bandwidth, including wrong-path, runahead and re-fetched
 	// work that never (or repeatedly) committed.
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	TotalFetched uint64 //rarlint:unit uops
-	//rarlint:survives statistics counter: energy accounting meters runahead dispatches by design
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
+	TotalFetched    uint64 //rarlint:unit uops
 	TotalDispatched uint64 //rarlint:unit uops
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	TotalIssued uint64 //rarlint:unit uops
+	TotalIssued     uint64 //rarlint:unit uops
 
 	//rarlint:nscaled blocked-cycle counter: advances by n, matching n per-cycle ticks
 	HeadBlockedCycles uint64 //rarlint:unit cycles
@@ -278,7 +264,7 @@ type Stats struct {
 	// stream — speculation of any kind never changes architectural
 	// execution — so the hash must agree across schemes for the same
 	// (benchmark, seed, instruction count).
-	CommitHash uint64 //rarlint:quiescent commit-order digest: accumulated at commit, consulted only by the A/B equivalence check
+	CommitHash uint64
 
 	ABC            [ace.NumStructures]uint64 //rarlint:unit bitcycles
 	TotalABC       uint64                    //rarlint:unit bitcycles

@@ -1,9 +1,10 @@
 package lint
 
-// A module-wide function index and static call resolution, shared by the
-// purity and flushreset analyzers. Both reason transitively: purity must
-// catch a mutation added three calls below a //rarlint:pure root, and
-// flushreset must credit a restore performed by a helper of exitRunahead.
+// A module-wide function index, static call resolution, and the
+// root-to-callee walk purity and hotalloc share. The analyzers reason
+// transitively: purity must catch a mutation added three calls below a
+// //rarlint:pure root, and flushreset must credit a restore performed by
+// a helper of exitRunahead.
 // The index maps every function and method *declared in the module* (test
 // files excluded) to its declaration, so a resolved static callee can be
 // followed into its body; calls that cannot be resolved statically
@@ -11,7 +12,9 @@ package lint
 // decides how conservative to be about them.
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -58,26 +61,6 @@ func (fi *funcIndex) lookup(fn *types.Func) *funcInfo {
 		return nil
 	}
 	return fi.decls[fn]
-}
-
-// callees returns, in source order, the statically resolved module
-// functions called (directly, deferred, or via go) anywhere in the body
-// of info's function, including inside function literals.
-func (fi *funcIndex) callees(info *funcInfo) []*funcInfo {
-	var out []*funcInfo
-	seen := map[*funcInfo]bool{}
-	ast.Inspect(info.decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if callee := fi.lookup(calleeFunc(info.pkg, call)); callee != nil && !seen[callee] {
-			seen[callee] = true
-			out = append(out, callee)
-		}
-		return true
-	})
-	return out
 }
 
 // referencedFuncs returns, in source order, every module function the body
@@ -137,4 +120,84 @@ func funcName(from *Package, fn *types.Func) string {
 		name = fn.Pkg().Name() + "." + name
 	}
 	return name
+}
+
+// walkOp is one operation a root-to-callee walk rejects.
+type walkOp struct {
+	pos  token.Pos
+	what string
+}
+
+// walkFacts is one function's share of a root-to-callee walk: the
+// operations it performs that the check rejects, and the module callees
+// to follow.
+type walkFacts struct {
+	ops     []walkOp
+	callees []*funcInfo
+}
+
+// walkFromRoots closes every function carrying a verb directive (pure or
+// hot) over the static call graph and reports each operation facts
+// rejects in the closure once, under the verb's check and naming the
+// first root that reaches it. Test files hold no roots.
+func walkFromRoots(m *Module, verb string, facts func(*funcIndex, *funcInfo) *walkFacts) []Diagnostic {
+	fi := buildFuncIndex(m)
+	var roots []*funcInfo
+	for _, p := range m.Pkgs {
+		for _, f := range p.Files {
+			if m.isTestFile(f) {
+				continue
+			}
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				fn, _ := p.Info.Defs[fd.Name].(*types.Func)
+				if fn == nil || m.directiveFor(fn, verb) == nil {
+					continue
+				}
+				if info := fi.lookup(fn); info != nil {
+					roots = append(roots, info)
+				}
+			}
+		}
+	}
+
+	var diags []Diagnostic
+	cache := map[*funcInfo]*walkFacts{}
+	reported := map[walkOp]bool{}
+	for _, root := range roots {
+		rootName := funcName(root.pkg, root.fn)
+		visited := map[*funcInfo]bool{root: true}
+		for queue := []*funcInfo{root}; len(queue) > 0; queue = queue[1:] {
+			info := queue[0]
+			ft := cache[info]
+			if ft == nil {
+				ft = facts(fi, info)
+				cache[info] = ft
+			}
+			for _, op := range ft.ops {
+				if reported[op] {
+					continue
+				}
+				reported[op] = true
+				msg := fmt.Sprintf("//rarlint:%s function %s %s", verb, rootName, op.what)
+				if info != root {
+					msg = fmt.Sprintf("function %s %s, reachable from //rarlint:%s %s",
+						funcName(info.pkg, info.fn), op.what, verb, rootName)
+				}
+				diags = append(diags, Diagnostic{
+					Pos: m.Fset.Position(op.pos), Check: verbs[verb].check, Message: msg,
+				})
+			}
+			for _, callee := range ft.callees {
+				if !visited[callee] {
+					visited[callee] = true
+					queue = append(queue, callee)
+				}
+			}
+		}
+	}
+	return diags
 }

@@ -27,24 +27,18 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rarlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	checks := fs.String("checks", "", "comma-separated checks to run (default: all)")
-	check := fs.String("check", "", "alias for -checks")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
-	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout (GitHub code scanning)")
 	withTests := fs.Bool("tests", false, "include _test.go files (determinism and errdiscipline cover them)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: rarlint [-check list] [-json | -sarif] [-tests] [module-dir | ./...]\n\n"+
+		fmt.Fprintf(stderr, "usage: rarlint [-checks list] [-json] [-tests] [module-dir | ./...]\n\n"+
 			"Static analysis of a Go module's simulator contracts. Checks:\n")
 		for _, a := range Analyzers() {
 			fmt.Fprintf(stderr, "  %-16s %s\n", a.Name, a.Doc)
 		}
 		fmt.Fprintf(stderr, "\nSuppress an audited finding in place with "+
-			"`//rarlint:allow <check> <reason>`\non the flagged line or the line above it.\n")
+			"`//rarlint:allow <check> <reason>`\non the flagged line, or alone on the line above it.\n")
 	}
 	if err := fs.Parse(args); err != nil {
-		return ExitError
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "rarlint: -json and -sarif are mutually exclusive")
 		return ExitError
 	}
 
@@ -80,16 +74,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		return ExitError
 	}
 
-	// -check and -checks are spellings of the same filter; merging them
-	// keeps both the documented singular and the historical plural alive
-	// (and `-check a -checks b` just runs both).
-	var names []string
-	for _, list := range []string{*checks, *check} {
-		if list != "" {
-			names = append(names, strings.Split(list, ",")...)
-		}
-	}
-	diags, err := Run(mod, names)
+	diags, err := Run(mod, strings.Split(*checks, ","))
 	if err != nil {
 		fmt.Fprintln(stderr, "rarlint:", err)
 		return ExitError
@@ -102,18 +87,12 @@ func Main(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	switch {
-	case *jsonOut:
+	if *jsonOut {
 		if err := writeJSON(stdout, diags); err != nil {
 			fmt.Fprintln(stderr, "rarlint:", err)
 			return ExitError
 		}
-	case *sarifOut:
-		if err := writeSARIF(stdout, diags); err != nil {
-			fmt.Fprintln(stderr, "rarlint:", err)
-			return ExitError
-		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
 		}

@@ -35,40 +35,21 @@ func TestMainExitCodes(t *testing.T) {
 
 	t.Run("checks-filter", func(t *testing.T) {
 		// The determinism corpus has no errdiscipline findings, so
-		// filtering to errdiscipline comes back clean.
+		// filtering to errdiscipline comes back clean, while filtering to
+		// determinism keeps its findings.
 		var out, errb strings.Builder
 		code := Main([]string{"-checks", "errdiscipline", filepath.Join("testdata", "determinism")}, &out, &errb)
 		if code != ExitClean {
 			t.Fatalf("exit = %d, want %d\nstdout:\n%s\nstderr:\n%s", code, ExitClean, out.String(), errb.String())
 		}
-	})
-
-	t.Run("check-alias", func(t *testing.T) {
-		// -check is an alias for -checks; both filter to a subset.
-		var out, errb strings.Builder
-		code := Main([]string{"-check", "errdiscipline", filepath.Join("testdata", "determinism")}, &out, &errb)
-		if code != ExitClean {
-			t.Fatalf("exit = %d, want %d\nstdout:\n%s\nstderr:\n%s", code, ExitClean, out.String(), errb.String())
-		}
 		out.Reset()
 		errb.Reset()
-		code = Main([]string{"-check", "determinism", filepath.Join("testdata", "determinism")}, &out, &errb)
+		code = Main([]string{"-checks", "determinism", filepath.Join("testdata", "determinism")}, &out, &errb)
 		if code != ExitFindings {
 			t.Fatalf("exit = %d, want %d\nstderr:\n%s", code, ExitFindings, errb.String())
 		}
 		if !strings.Contains(out.String(), "determinism") {
-			t.Errorf("-check filter lost the determinism findings:\n%s", out.String())
-		}
-	})
-
-	t.Run("check-alias-unknown", func(t *testing.T) {
-		var out, errb strings.Builder
-		code := Main([]string{"-check", "nosuch", filepath.Join("testdata", "errdiscipline")}, &out, &errb)
-		if code != ExitError {
-			t.Fatalf("exit = %d, want %d", code, ExitError)
-		}
-		if !strings.Contains(errb.String(), "unknown check") {
-			t.Errorf("stderr lacks the unknown-check error:\n%s", errb.String())
+			t.Errorf("-checks filter lost the determinism findings:\n%s", out.String())
 		}
 	})
 
@@ -154,85 +135,6 @@ func TestTestsFlag(t *testing.T) {
 			t.Errorf("-tests findings lack the violation in %s:\n%s", file, out.String())
 		}
 	}
-}
-
-// TestSARIFOutput pins the -sarif schema GitHub code scanning ingests:
-// a 2.1.0 log with a rarlint driver, one rule per check (plus the
-// "lint" directive pseudo-check), and results whose ruleIndex points
-// back into the rules array. A clean run still emits the full skeleton
-// with an empty results array so the CI upload step never branches.
-func TestSARIFOutput(t *testing.T) {
-	t.Run("findings", func(t *testing.T) {
-		var out, errb strings.Builder
-		code := Main([]string{"-sarif", filepath.Join("testdata", "errdiscipline")}, &out, &errb)
-		if code != ExitFindings {
-			t.Fatalf("exit = %d, want %d\nstderr:\n%s", code, ExitFindings, errb.String())
-		}
-		var log sarifLog
-		if err := json.Unmarshal([]byte(out.String()), &log); err != nil {
-			t.Fatalf("stdout is not a SARIF log: %v\n%s", err, out.String())
-		}
-		if log.Version != "2.1.0" || !strings.Contains(log.Schema, "sarif-2.1.0") {
-			t.Errorf("log version = %q schema = %q, want 2.1.0", log.Version, log.Schema)
-		}
-		if len(log.Runs) != 1 {
-			t.Fatalf("log has %d runs, want 1", len(log.Runs))
-		}
-		run := log.Runs[0]
-		if run.Tool.Driver.Name != "rarlint" {
-			t.Errorf("driver name = %q, want rarlint", run.Tool.Driver.Name)
-		}
-		if want := len(Analyzers()) + 1; len(run.Tool.Driver.Rules) != want {
-			t.Errorf("driver has %d rules, want %d (every check plus \"lint\")",
-				len(run.Tool.Driver.Rules), want)
-		}
-		if len(run.Results) == 0 {
-			t.Fatal("results array is empty despite ExitFindings")
-		}
-		for _, r := range run.Results {
-			if r.RuleIndex < 0 || r.RuleIndex >= len(run.Tool.Driver.Rules) ||
-				run.Tool.Driver.Rules[r.RuleIndex].ID != r.RuleID {
-				t.Errorf("result ruleIndex %d does not resolve to ruleId %q", r.RuleIndex, r.RuleID)
-			}
-			if r.Level != "error" || r.Message.Text == "" || len(r.Locations) != 1 {
-				t.Errorf("incomplete result: %+v", r)
-			}
-			loc := r.Locations[0].PhysicalLocation
-			if loc.Region.StartLine <= 0 || loc.Region.StartColumn <= 0 {
-				t.Errorf("result lacks a region: %+v", loc)
-			}
-			uri := loc.ArtifactLocation.URI
-			if uri == "" || strings.Contains(uri, "\\") || filepath.IsAbs(uri) {
-				t.Errorf("artifact URI %q must be a relative slash path", uri)
-			}
-		}
-	})
-
-	t.Run("clean", func(t *testing.T) {
-		var out, errb strings.Builder
-		code := Main([]string{"-sarif", "-checks", "errdiscipline", filepath.Join("testdata", "determinism")}, &out, &errb)
-		if code != ExitClean {
-			t.Fatalf("exit = %d, want %d\nstderr:\n%s", code, ExitClean, errb.String())
-		}
-		var log sarifLog
-		if err := json.Unmarshal([]byte(out.String()), &log); err != nil {
-			t.Fatalf("clean -sarif stdout is not a SARIF log: %v\n%s", err, out.String())
-		}
-		if len(log.Runs) != 1 || log.Runs[0].Results == nil || len(log.Runs[0].Results) != 0 {
-			t.Errorf("clean log must hold one run with an empty (non-null) results array:\n%s", out.String())
-		}
-	})
-
-	t.Run("exclusive-with-json", func(t *testing.T) {
-		var out, errb strings.Builder
-		code := Main([]string{"-json", "-sarif", filepath.Join("testdata", "errdiscipline")}, &out, &errb)
-		if code != ExitError {
-			t.Fatalf("exit = %d, want %d", code, ExitError)
-		}
-		if !strings.Contains(errb.String(), "mutually exclusive") {
-			t.Errorf("stderr lacks the mutual-exclusion error:\n%s", errb.String())
-		}
-	})
 }
 
 // TestRepoIsClean is the acceptance regression: rarlint on this

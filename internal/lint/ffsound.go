@@ -20,16 +20,19 @@ package lint
 // and reports every audited field in W \ R at its declaration. A field
 // that genuinely needs no next-event coverage — one whose changes are
 // always derived from (and therefore bounded by) covered state, such as
-// a stat counter or a value recomputed from covered inputs before use —
-// carries //rarlint:quiescent <reason> on its declaration. The analyzer
-// keeps the waivers honest the same way flushreset keeps survives
-// honest: a quiescent annotation on a field that is in fact read by a
-// next-event source (or never stage-written) is itself a finding, and
-// those stale-directive findings cannot be suppressed.
+// a value recomputed from covered inputs before use — carries
+// //rarlint:quiescent <reason> in its doc or trailing comment. The
+// analyzer keeps the waivers honest the same way flushreset keeps
+// survives honest: a quiescent annotation on a field that is in fact
+// read by a next-event source (or never stage-written) is itself a
+// finding, and one on a field outside the audited scope is reported as
+// not attached.
 //
 // Audited scope: fields of named structs declared in a package holding
 // a stage seed or a package contributing any function to the next-event
-// read closure — on this tree, the core and the memory hierarchy; a
+// read closure — on this tree, the core and the memory hierarchy —
+// except the statistics structs (Module.isStatsStruct), whose counters
+// only record what the stages did and need no waiver at all; a
 // branch predictor whose state the next-event logic never consults is
 // deliberately out of scope (its divergence is caught dynamically by
 // the A/B equivalence tests, and statically it has no quiescence
@@ -78,51 +81,26 @@ func ffSound(m *Module) []Diagnostic {
 	for _, info := range sourceFuncs {
 		pkgs[info.pkg] = true
 	}
-	fields, owner := auditedFields(m, pkgs)
-
-	// A quiescent directive trails its field or sits up to two lines
-	// above it, so it can stack with a unit/survives/guardedby directive
-	// already annotating the same declaration.
-	attached := map[*quiescent]int{}
-	claim := func(filename string, fieldLine int) *quiescent {
-		for _, l := range []int{fieldLine, fieldLine - 1, fieldLine - 2} {
-			for _, q := range m.quiescents[filename][l] {
-				if q.reason == "" {
-					continue // malformed, already a lint finding
-				}
-				if at, ok := attached[q]; ok && at != fieldLine {
-					continue
-				}
-				attached[q] = fieldLine
-				return q
-			}
-		}
-		return nil
-	}
+	fields, owner := auditedFields(m, pkgs, false)
 
 	var diags []Diagnostic
 	for _, fv := range fields {
 		pos := m.Fset.Position(fv.Pos())
-		q := claim(pos.Filename, pos.Line)
+		q := m.directiveFor(fv, verbQuiescent)
 		site, uncovered := written[fv]
 		if _, ok := read[fv]; ok {
 			uncovered = false
 		}
 		switch {
-		case uncovered && q != nil:
-			q.used = true
-		case uncovered:
+		case uncovered && q == nil:
 			diags = append(diags, Diagnostic{Pos: pos, Check: "ffsound",
 				Message: fmt.Sprintf("field %s.%s is written by the stage closures (by %s) but read by no next-event source: a pending change to it would not bound the fast-forward skip — read it in nextEventCycle/modeNextEvent or annotate //rarlint:quiescent <reason>",
 					owner[fv], fv.Name(), site.fn)})
-		case q != nil:
+		case !uncovered && q != nil:
 			diags = append(diags, Diagnostic{Pos: pos, Check: "ffsound",
 				Message: fmt.Sprintf("stale rarlint:quiescent on %s.%s: the field is read by a next-event source (or never written by the stage closures); remove the annotation",
 					owner[fv], fv.Name())})
 		}
 	}
-
-	diags = append(diags, unattachedDirectives(m, verbQuiescent, "ffsound", m.quiescents,
-		func(q *quiescent) bool { _, ok := attached[q]; return ok || q.reason == "" })...)
 	return diags
 }

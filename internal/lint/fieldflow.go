@@ -13,7 +13,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // access kinds.
@@ -416,7 +415,7 @@ func flowWriteTarget(p *Package, lhs ast.Expr) ([]*types.Var, *ast.SelectorExpr)
 			// *ptr = v replaces the whole pointee.
 			if tv, ok := p.Info.Types[e.X]; ok {
 				if ptr, ok := tv.Type.Underlying().(*types.Pointer); ok {
-					return structFields(ptr.Elem(), nil, nil), nil
+					return structFields(ptr.Elem(), nil), nil
 				}
 			}
 			return nil, nil
@@ -429,7 +428,7 @@ func flowWriteTarget(p *Package, lhs ast.Expr) ([]*types.Var, *ast.SelectorExpr)
 			if !ok {
 				return nil, nil
 			}
-			return structFields(fv.Type(), nil, []*types.Var{fv}), e
+			return structFields(fv.Type(), []*types.Var{fv}), e
 		default:
 			return nil, nil
 		}
@@ -489,10 +488,11 @@ func seedFuncs(m *Module, fi *funcIndex, names map[string]bool) ([]*funcInfo, ma
 }
 
 // auditedFields returns every field of every named struct declared in
-// one of the given packages, sorted by file and offset (so a directive
-// trailing one field is claimed by it before the next field looks
-// upward), plus each field's "pkg.Type" owner for diagnostics.
-func auditedFields(m *Module, pkgs map[*Package]bool) ([]*types.Var, map[*types.Var]string) {
+// one of the given packages, plus each field's "pkg.Type" owner for
+// diagnostics. Statistics structs (Module.isStatsStruct) are left out
+// unless stats is set. The order is deterministic (scope names are
+// sorted); Run sorts the findings anyway.
+func auditedFields(m *Module, pkgs map[*Package]bool, stats bool) ([]*types.Var, map[*types.Var]string) {
 	owner := map[*types.Var]string{}
 	var fields []*types.Var
 	for _, p := range m.Pkgs {
@@ -502,7 +502,7 @@ func auditedFields(m *Module, pkgs map[*Package]bool) ([]*types.Var, map[*types.
 		scope := p.Types.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() || m.isTestPos(tn.Pos()) {
+			if !ok || tn.IsAlias() || m.isTestPos(tn.Pos()) || (!stats && m.isStatsStruct(tn)) {
 				continue
 			}
 			st, ok := tn.Type().Underlying().(*types.Struct)
@@ -516,13 +516,6 @@ func auditedFields(m *Module, pkgs map[*Package]bool) ([]*types.Var, map[*types.
 			}
 		}
 	}
-	sort.Slice(fields, func(i, j int) bool {
-		pi, pj := m.Fset.Position(fields[i].Pos()), m.Fset.Position(fields[j].Pos())
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
-		}
-		return pi.Offset < pj.Offset
-	})
 	return fields, owner
 }
 

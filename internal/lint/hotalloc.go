@@ -3,7 +3,7 @@ package lint
 // The hotalloc analyzer enforces the zero-steady-state-allocation
 // contract of the per-cycle simulation loop: any garbage created per
 // cycle turns the "10x the hot loop" throughput work into a GC
-// benchmark. Functions carry //rarlint:hot on their declaration; the
+// benchmark. Functions carry //rarlint:hot in their doc comment; the
 // analyzer closes the set over the static call graph (like purity) and
 // rejects every construct that heap-allocates on each execution:
 //
@@ -24,12 +24,13 @@ package lint
 //
 // Module functions are followed transitively. An audited cold path —
 // warmup growth, error exits, opt-in diagnostics — is cut out of the
-// closure with //rarlint:allow hotalloc <reason> on the call line: the
-// callee is not followed and no finding is reported there. Such barrier
-// allows are marked used directly (they suppress traversal, not a
-// diagnostic), so they never go stale. Non-call findings (literals,
-// closures, concats) are ordinary diagnostics and interact with allow
-// directives the usual way.
+// closure with //rarlint:allow hotalloc <reason> on the call line (or
+// alone on the line above it, as for any allow): the callee is not
+// followed and no finding is reported there. Such barrier allows are
+// marked used directly (they suppress traversal, not a diagnostic), so
+// they never go stale. Non-call findings (literals, closures, concats)
+// are ordinary diagnostics and interact with allow directives the usual
+// way.
 //
 // hotalloc skips _test.go files: tests allocate freely.
 
@@ -48,94 +49,17 @@ var hotExternalPkgs = map[string]bool{
 	"sync/atomic": true,
 }
 
-// allocFacts caches the per-function analysis: allocation sites and the
-// module callees to follow (barrier-allowed call sites excluded).
-type allocFacts struct {
-	ops     []impureOp
-	callees []*funcInfo
-}
-
 func hotalloc(m *Module) []Diagnostic {
-	fi := buildFuncIndex(m)
-
-	var roots []*funcInfo
-	for _, p := range m.Pkgs {
-		for _, f := range p.Files {
-			if m.isTestFile(f) {
-				continue
-			}
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				funcLine := m.Fset.Position(fd.Pos()).Line
-				first := funcLine - 1
-				if fd.Doc != nil {
-					first = m.Fset.Position(fd.Doc.Pos()).Line
-				}
-				if !m.hotAt(m.fileName(f), first, funcLine) {
-					continue
-				}
-				fn, _ := p.Info.Defs[fd.Name].(*types.Func)
-				if info := fi.lookup(fn); info != nil {
-					roots = append(roots, info)
-				}
-			}
-		}
-	}
-
-	var diags []Diagnostic
-	facts := map[*funcInfo]*allocFacts{}
-	reported := map[impureOp]bool{}
-	for _, root := range roots {
-		rootName := funcName(root.pkg, root.fn)
-		visited := map[*funcInfo]bool{root: true}
-		queue := []*funcInfo{root}
-		for len(queue) > 0 {
-			info := queue[0]
-			queue = queue[1:]
-			ft := facts[info]
-			if ft == nil {
-				ft = computeAllocFacts(m, fi, info)
-				facts[info] = ft
-			}
-			for _, op := range ft.ops {
-				if reported[op] {
-					continue
-				}
-				reported[op] = true
-				msg := fmt.Sprintf("//rarlint:hot function %s %s", rootName, op.what)
-				if info != root {
-					msg = fmt.Sprintf("function %s %s, reachable from //rarlint:hot %s",
-						funcName(info.pkg, info.fn), op.what, rootName)
-				}
-				diags = append(diags, Diagnostic{
-					Pos: m.Fset.Position(op.pos), Check: "hotalloc", Message: msg,
-				})
-			}
-			for _, callee := range ft.callees {
-				if !visited[callee] {
-					visited[callee] = true
-					queue = append(queue, callee)
-				}
-			}
-		}
-	}
-
-	diags = append(diags, unattachedDirectives(m, verbHot, "hotalloc", m.hots,
-		func(d *hotDecl) bool { return d.used })...)
-	return diags
+	return walkFromRoots(m, verbHot, computeAllocFacts)
 }
 
 // computeAllocFacts scans one function body for allocating constructs
 // and the module callees to follow.
-func computeAllocFacts(m *Module, fi *funcIndex, info *funcInfo) *allocFacts {
+func computeAllocFacts(fi *funcIndex, info *funcInfo) *walkFacts {
 	p, fd := info.pkg, info.decl
-	filename := m.Fset.Position(fd.Pos()).Filename
-	ft := &allocFacts{}
+	ft := &walkFacts{}
 	alloc := func(pos token.Pos, format string, args ...any) {
-		ft.ops = append(ft.ops, impureOp{pos: pos, what: fmt.Sprintf(format, args...)})
+		ft.ops = append(ft.ops, walkOp{pos: pos, what: fmt.Sprintf(format, args...)})
 	}
 	calleeSeen := map[*funcInfo]bool{}
 
@@ -197,7 +121,7 @@ func computeAllocFacts(m *Module, fi *funcIndex, info *funcInfo) *allocFacts {
 				}
 			}
 		case *ast.CallExpr:
-			classifyAllocCall(m, fi, info, filename, n, handledAppend, alloc, calleeSeen, &ft.callees)
+			classifyAllocCall(fi, info, n, handledAppend, alloc, calleeSeen, &ft.callees)
 		}
 		return true
 	})
@@ -264,7 +188,7 @@ func checkAllocAssign(p *Package, fd *ast.FuncDecl, n *ast.AssignStmt,
 }
 
 // classifyAllocCall decides what a call means for allocation freedom.
-func classifyAllocCall(m *Module, fi *funcIndex, info *funcInfo, filename string,
+func classifyAllocCall(fi *funcIndex, info *funcInfo,
 	call *ast.CallExpr, handledAppend map[*ast.CallExpr]bool,
 	alloc func(token.Pos, string, ...any), seen map[*funcInfo]bool, callees *[]*funcInfo) {
 	p := info.pkg
@@ -311,8 +235,7 @@ func classifyAllocCall(m *Module, fi *funcIndex, info *funcInfo, filename string
 		return
 	}
 	if callee := fi.lookup(fn); callee != nil {
-		line := m.Fset.Position(call.Pos()).Line
-		if m.allowBarrier("hotalloc", filename, line) {
+		if fi.mod.allowed("hotalloc", fi.mod.Fset.Position(call.Pos())) {
 			return // audited cold path: cut out of the hot closure
 		}
 		if !seen[callee] {
@@ -392,21 +315,4 @@ func boxAllocates(t types.Type) bool {
 		return b.Kind() != types.UnsafePointer
 	}
 	return true
-}
-
-// allowBarrier marks a hotalloc allow on the call line (or the line
-// above) as used and reports whether one exists. Barrier allows gate
-// call-graph traversal rather than suppressing a diagnostic, so they are
-// consumed here to keep staleness accounting honest.
-func (m *Module) allowBarrier(check, filename string, line int) bool {
-	hit := false
-	for _, l := range []int{line, line - 1} {
-		for _, a := range m.allows[filename][l] {
-			if a.check == check && a.reason != "" {
-				a.used = true
-				hit = true
-			}
-		}
-	}
-	return hit
 }

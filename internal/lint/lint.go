@@ -32,8 +32,11 @@
 //	//rarlint:nscaled <reason>           declare a field part of the
 //	                                     bulk-advance write set
 //
-// each attached to the governed line or the line directly above it.
-// Malformed and stale directives are themselves findings. rarlint
+// An allow sits on the flagged line, or alone on the line above it; every
+// other directive sits in the doc or trailing comment of the struct field
+// or function it governs, and the loader resolves it once to that
+// declaration's types.Object (see directive.go). Malformed and stale
+// directives are themselves findings. rarlint
 // complements the *runtime* invariant auditor in internal/core/audit.go:
 // the auditor checks microarchitectural state while a simulation runs,
 // rarlint proves source-level contracts before anything runs at all.
@@ -146,7 +149,8 @@ func AnalyzerNames() []string {
 // checks is empty) over an already loaded module, applies //rarlint:allow
 // suppressions, and returns the surviving findings sorted by position.
 func Run(m *Module, checks []string) ([]Diagnostic, error) {
-	enabled := map[string]bool{}
+	all := Analyzers()
+	ran := map[string]bool{}
 	for _, c := range checks {
 		c = strings.TrimSpace(c)
 		if c == "" {
@@ -155,24 +159,30 @@ func Run(m *Module, checks []string) ([]Diagnostic, error) {
 		if !knownCheck(c) {
 			return nil, fmt.Errorf("lint: unknown check %q (have %s)", c, strings.Join(AnalyzerNames(), ", "))
 		}
-		enabled[c] = true
+		ran[c] = true
+	}
+	if len(ran) == 0 {
+		for _, a := range all {
+			ran[a.Name] = true
+		}
 	}
 
 	// The analyzers are independent and run concurrently: each consumes
-	// the shared read-only typed ASTs (token.FileSet is internally
-	// synchronized) and each mutable directive kind is claimed by exactly
-	// one analyzer (pures by purity, survives by flushreset, quiescents
-	// by ffsound, nscaleds by skipset, units by units, guardeds/lockeds
-	// by lockcheck, hots and allow-barriers by hotalloc). Suppression and
-	// staleness accounting stay sequential, after the barrier. Findings
-	// are collected per-analyzer and ordering is restored by the final
-	// position sort, so the output is deterministic regardless of
-	// scheduling.
-	all := Analyzers()
+	// the shared read-only typed ASTs and directive index (token.FileSet
+	// is internally synchronized), and the only thing they write outside
+	// their own results is a directive's used mark — each verb is
+	// consumed by exactly one check (pure by purity, survives by
+	// flushreset, quiescent by ffsound, nscaled by skipset, unit by units,
+	// guardedby and locked by lockcheck, hot by hotalloc), and only
+	// hotalloc marks allows (its call-site barriers) before the barrier.
+	// Suppression and the directive findings stay sequential, after the
+	// barrier. Findings are collected per-analyzer and ordering is
+	// restored by the final position sort, so the output is deterministic
+	// regardless of scheduling.
 	results := make([][]Diagnostic, len(all))
 	var wg sync.WaitGroup
 	for i, a := range all {
-		if len(enabled) > 0 && !enabled[a.Name] {
+		if !ran[a.Name] {
 			continue
 		}
 		wg.Add(1)
@@ -186,14 +196,7 @@ func Run(m *Module, checks []string) ([]Diagnostic, error) {
 	for _, r := range results {
 		diags = append(diags, r...)
 	}
-	diags = append(diags, m.checkDirectives()...)
-	diags = m.suppress(diags)
-	if len(enabled) == 0 || len(enabled) == len(all) {
-		// Staleness is decidable only when every check ran: under a
-		// -checks filter an allow for a disabled check is dormant, not
-		// stale.
-		diags = append(diags, m.staleAllows()...)
-	}
+	diags = append(m.suppress(diags), m.directiveFindings(ran)...)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {

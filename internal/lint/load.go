@@ -49,35 +49,21 @@ type Module struct {
 	// Pkgs lists every package, sorted by import path.
 	Pkgs []*Package
 
-	// Directive indexes: filename -> line -> directives found in that
-	// file's comments (see suppress.go).
-	allows   map[string]map[int][]*allow
-	pures    map[string]map[int][]*pureDecl
-	survives map[string]map[int][]*survives
-	units    map[string]map[int][]*unitDecl
-	guardeds map[string]map[int][]*guardedDecl
-	lockeds  map[string]map[int][]*lockedDecl
-	hots     map[string]map[int][]*hotDecl
-	// quiescents waive ffsound coverage for a stage-written field; nscaleds
-	// declare a field part of the bulk-advance (skipset) write set.
-	quiescents map[string]map[int][]*quiescent
-	nscaleds   map[string]map[int][]*nscaled
-	// badVerbs records comments with an unknown //rarlint: verb.
-	badVerbs []Diagnostic
+	// directives lists every //rarlint: comment in load order; byObj
+	// indexes the declaration directives by the object they govern, and
+	// allows the allow directives by line (see directive.go).
+	directives []*directive
+	byObj      map[types.Object][]*directive
+	allows     map[lineKey][]*directive
 
 	// testFiles records the _test.go files loaded in tests mode.
 	testFiles map[string]bool
 }
 
-// fileName returns the filename an *ast.File was parsed from.
-func (m *Module) fileName(f *ast.File) string {
-	return m.Fset.Position(f.Package).Filename
-}
-
 // isTestFile reports whether f is a _test.go file (only ever true in
 // tests mode; the default loader does not parse them).
 func (m *Module) isTestFile(f *ast.File) bool {
-	return m.testFiles[m.fileName(f)]
+	return m.isTestPos(f.Package)
 }
 
 // isTestPos reports whether pos lies in a _test.go file.
@@ -88,6 +74,20 @@ func (m *Module) isTestPos(pos token.Pos) bool {
 // IsInternal reports whether p lives under <module>/internal/.
 func (m *Module) IsInternal(p *Package) bool {
 	return strings.HasPrefix(p.Path, m.Path+"/internal/")
+}
+
+// isStatsStruct reports whether tn is a statistics struct: a struct type
+// named Stats or Metrics declared outside test files under
+// <module>/internal/. statshygiene audits its fields as report columns.
+// ffsound and flushreset exempt them: a statistic only records what the
+// stages did, so its changes never need to bound a fast-forward skip,
+// and metering runahead activity past exit is what it is for.
+func (m *Module) isStatsStruct(tn *types.TypeName) bool {
+	if (tn.Name() != "Stats" && tn.Name() != "Metrics") || tn.IsAlias() || m.isTestPos(tn.Pos()) {
+		return false
+	}
+	_, isStruct := tn.Type().Underlying().(*types.Struct)
+	return isStruct && strings.HasPrefix(tn.Pkg().Path(), m.Path+"/internal/")
 }
 
 // determinismScoped lists the internal packages whose state feeds
@@ -154,6 +154,8 @@ func loadModule(dir string, tests bool) (*Module, error) {
 		Dir:       dir,
 		Fset:      token.NewFileSet(),
 		testFiles: map[string]bool{},
+		byObj:     map[types.Object][]*directive{},
+		allows:    map[lineKey][]*directive{},
 	}
 	l := &loader{
 		mod:      m,
@@ -302,17 +304,22 @@ func (l *loader) loadDir(dir string) (*Package, error) {
 	// external <pkg>_test files become their own package checked after —
 	// and importing — the base one.
 	var files, extFiles []*ast.File
+	srcs := map[*ast.File][]byte{}
 	for _, e := range ents {
 		isTest := goTestSource(e.Name())
 		if !goSource(e.Name()) && !(l.tests && isTest) {
 			continue
 		}
 		fname := filepath.Join(dir, e.Name())
-		f, err := parser.ParseFile(l.mod.Fset, fname, nil, parser.ParseComments|parser.SkipObjectResolution)
+		src, err := os.ReadFile(fname)
 		if err != nil {
 			return nil, err
 		}
-		l.mod.collectDirectives(fname, f)
+		f, err := parser.ParseFile(l.mod.Fset, fname, src, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		srcs[f] = src
 		if isTest {
 			l.mod.testFiles[fname] = true
 			if strings.HasSuffix(f.Name.Name, "_test") {
@@ -344,7 +351,11 @@ func (l *loader) loadDir(dir string) (*Package, error) {
 		if len(typeErrs) > 0 {
 			return nil, fmt.Errorf("lint: type-checking %s: %w", pkgPath, typeErrs[0])
 		}
-		return &Package{Path: pkgPath, Dir: dir, Files: fs, Types: tpkg, Info: info}, nil
+		p := &Package{Path: pkgPath, Dir: dir, Files: fs, Types: tpkg, Info: info}
+		for _, f := range fs {
+			l.mod.resolveDirectives(p, f, srcs[f])
+		}
+		return p, nil
 	}
 
 	var p *Package

@@ -60,7 +60,6 @@ type guardInfo struct {
 // lockAnalysis holds the module-wide annotation maps for one run.
 type lockAnalysis struct {
 	m      *Module
-	fi     *funcIndex
 	guards map[*types.Var]*guardInfo
 	locked map[*types.Func]string // //rarlint:locked contracts: method -> mutex field
 }
@@ -68,7 +67,6 @@ type lockAnalysis struct {
 func lockcheck(m *Module) []Diagnostic {
 	a := &lockAnalysis{
 		m:      m,
-		fi:     buildFuncIndex(m),
 		guards: map[*types.Var]*guardInfo{},
 		locked: map[*types.Func]string{},
 	}
@@ -94,122 +92,82 @@ func lockcheck(m *Module) []Diagnostic {
 			}
 		}
 	}
-
-	diags = append(diags, unattachedDirectives(m, verbGuardedBy, "lockcheck", m.guardeds,
-		func(d *guardedDecl) bool { return d.used })...)
-	diags = append(diags, unattachedDirectives(m, verbLocked, "lockcheck", m.lockeds,
-		func(d *lockedDecl) bool { return d.used })...)
 	return diags
 }
 
-// collect attaches guardedby directives to struct fields (same line,
-// else the line above, consumed in line order like units) and locked
-// contracts to method declarations, validates both against the actual
-// struct shapes, and enforces completeness: a struct with a mutex field
-// must annotate every other field.
+// collect reads the guardedby directives the loader attached to struct
+// fields and the locked contracts attached to methods, validates both
+// against the actual struct shapes, and enforces completeness: a struct
+// with a mutex field must annotate every other field.
 func (a *lockAnalysis) collect(report func(token.Pos, string, ...any)) {
 	type fieldDecl struct {
-		line    int
 		pos     token.Pos
 		names   []string
 		vars    []*types.Var
 		isMutex bool
 		atomic  bool
 	}
-	type structDecl struct {
-		name   string
-		fields []fieldDecl
-	}
 	for _, p := range a.m.Pkgs {
 		for _, f := range p.Files {
 			if a.m.isTestFile(f) {
 				continue
 			}
-			filename := a.m.fileName(f)
-			var structs []structDecl
 			ast.Inspect(f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok {
-					return true
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					return true
-				}
-				sd := structDecl{name: ts.Name.Name}
-				for _, fld := range st.Fields.List {
-					d := fieldDecl{
-						line: a.m.Fset.Position(fld.Pos()).Line,
-						pos:  fld.Pos(),
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					st, ok := n.Type.(*ast.StructType)
+					if !ok {
+						return true
 					}
-					for _, name := range fld.Names {
-						if v, ok := p.Info.Defs[name].(*types.Var); ok {
-							d.names = append(d.names, name.Name)
-							d.vars = append(d.vars, v)
+					var fields []fieldDecl
+					mutexNames := map[string]bool{}
+					for _, fld := range st.Fields.List {
+						d := fieldDecl{pos: fld.Pos()}
+						for _, name := range fld.Names {
+							if v, ok := p.Info.Defs[name].(*types.Var); ok {
+								d.names = append(d.names, name.Name)
+								d.vars = append(d.vars, v)
+							}
+						}
+						if len(d.vars) == 0 {
+							continue // embedded fields carry no annotation
+						}
+						d.isMutex = isMutexType(d.vars[0].Type())
+						d.atomic = isAtomicType(d.vars[0].Type())
+						if d.isMutex {
+							for _, name := range d.names {
+								mutexNames[name] = true
+							}
+						}
+						fields = append(fields, d)
+					}
+					for _, fld := range fields {
+						if g := a.m.directiveFor(fld.vars[0], verbGuardedBy); g != nil {
+							a.attachGuard(n.Name.Name, fld.pos, fld.vars, g.args[0], fld.atomic, mutexNames, report)
+						} else if len(mutexNames) > 0 && !fld.isMutex {
+							report(fld.pos, "field %s of mutex-guarded struct %s has no //rarlint:guardedby annotation",
+								fld.names[0], n.Name.Name)
 						}
 					}
-					if len(d.vars) == 0 {
-						continue // embedded fields carry no annotation
+				case *ast.FuncDecl:
+					fn, _ := p.Info.Defs[n.Name].(*types.Func)
+					if fn == nil {
+						return true
 					}
-					d.isMutex = isMutexType(d.vars[0].Type())
-					d.atomic = isAtomicType(d.vars[0].Type())
-					sd.fields = append(sd.fields, d)
+					d := a.m.directiveFor(fn, verbLocked)
+					if d == nil {
+						return true
+					}
+					mu := d.args[0]
+					if !recvHasMutexField(fn, mu) {
+						report(n.Pos(), "rarlint:locked %s: the receiver of %s has no sync.Mutex/RWMutex field named %s",
+							mu, n.Name.Name, mu)
+						return true
+					}
+					a.locked[fn] = mu
 				}
-				structs = append(structs, sd)
 				return true
 			})
-			// Structs appear sequentially in a file, so per-struct field
-			// order is global line order: consuming directives struct by
-			// struct preserves the consume-in-line-order contract.
-			for _, sd := range structs {
-				mutexNames := map[string]bool{}
-				for _, fld := range sd.fields {
-					if fld.isMutex {
-						for _, name := range fld.names {
-							mutexNames[name] = true
-						}
-					}
-				}
-				for _, fld := range sd.fields {
-					g, ok := a.m.takeGuarded(filename, fld.line, fld.line)
-					if !ok {
-						g, ok = a.m.takeGuarded(filename, fld.line-1, fld.line-1)
-					}
-					if ok {
-						a.attachGuard(sd.name, fld.pos, fld.vars, g.arg, fld.atomic, mutexNames, report)
-					} else if len(mutexNames) > 0 && !fld.isMutex {
-						report(fld.pos, "field %s of mutex-guarded struct %s has no //rarlint:guardedby annotation",
-							fld.names[0], sd.name)
-					}
-				}
-			}
-			// Locked contracts attach to method declarations (func line or
-			// doc comment), like pure.
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Recv == nil {
-					continue
-				}
-				funcLine := a.m.Fset.Position(fd.Pos()).Line
-				first := funcLine - 1
-				if fd.Doc != nil {
-					first = a.m.Fset.Position(fd.Doc.Pos()).Line
-				}
-				mu, ok := a.m.lockedAt(filename, first, funcLine)
-				if !ok {
-					continue
-				}
-				fn, _ := p.Info.Defs[fd.Name].(*types.Func)
-				if fn == nil {
-					continue
-				}
-				if !recvHasMutexField(fn, mu) {
-					report(fd.Pos(), "rarlint:locked %s: the receiver of %s has no sync.Mutex/RWMutex field named %s",
-						mu, fd.Name.Name, mu)
-					continue
-				}
-				a.locked[fn] = mu
-			}
 		}
 	}
 }

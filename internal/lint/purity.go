@@ -3,7 +3,7 @@ package lint
 // The purity analyzer proves the precondition of the stall fast-forward
 // (DESIGN.md §7): nextEventCycle and everything it calls must be
 // side-effect-free, or the A/B equivalence of skipping quiescent windows
-// breaks. Functions carry //rarlint:pure on their declaration; the
+// breaks. Functions carry //rarlint:pure in their doc comment; the
 // analyzer closes the set over the static call graph, so a mutation
 // added three helpers deep is caught without re-annotating anything.
 //
@@ -42,101 +42,17 @@ var pureExternalFuncs = map[string]bool{
 	"fmt.Sprintln": true,
 }
 
-// impureOp is one rejected operation inside a pure closure.
-type impureOp struct {
-	pos  token.Pos
-	what string
-}
-
-// purityFacts caches the per-function analysis.
-type purityFacts struct {
-	ops     []impureOp
-	callees []*funcInfo
-}
-
 func purity(m *Module) []Diagnostic {
-	fi := buildFuncIndex(m)
-
-	// Roots: declarations carrying //rarlint:pure (on the func line or
-	// anywhere in its doc comment). Collected over all FuncDecls, not
-	// just bodied ones, so attachment marking sees every candidate.
-	var roots []*funcInfo
-	for _, p := range m.Pkgs {
-		for _, f := range p.Files {
-			if m.isTestFile(f) {
-				continue
-			}
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				funcLine := m.Fset.Position(fd.Pos()).Line
-				first := funcLine - 1
-				if fd.Doc != nil {
-					first = m.Fset.Position(fd.Doc.Pos()).Line
-				}
-				if !m.pureAt(m.fileName(f), first, funcLine) {
-					continue
-				}
-				fn, _ := p.Info.Defs[fd.Name].(*types.Func)
-				if info := fi.lookup(fn); info != nil {
-					roots = append(roots, info)
-				}
-			}
-		}
-	}
-
-	var diags []Diagnostic
-	facts := map[*funcInfo]*purityFacts{}
-	reported := map[impureOp]bool{}
-	for _, root := range roots {
-		rootName := funcName(root.pkg, root.fn)
-		visited := map[*funcInfo]bool{root: true}
-		queue := []*funcInfo{root}
-		for len(queue) > 0 {
-			info := queue[0]
-			queue = queue[1:]
-			ft := facts[info]
-			if ft == nil {
-				ft = computePurityFacts(fi, info)
-				facts[info] = ft
-			}
-			for _, op := range ft.ops {
-				if reported[op] {
-					continue
-				}
-				reported[op] = true
-				msg := fmt.Sprintf("//rarlint:pure function %s %s", rootName, op.what)
-				if info != root {
-					msg = fmt.Sprintf("function %s %s, reachable from //rarlint:pure %s",
-						funcName(info.pkg, info.fn), op.what, rootName)
-				}
-				diags = append(diags, Diagnostic{
-					Pos: m.Fset.Position(op.pos), Check: "purity", Message: msg,
-				})
-			}
-			for _, callee := range ft.callees {
-				if !visited[callee] {
-					visited[callee] = true
-					queue = append(queue, callee)
-				}
-			}
-		}
-	}
-
-	diags = append(diags, unattachedDirectives(m, verbPure, "purity", m.pures,
-		func(d *pureDecl) bool { return d.used })...)
-	return diags
+	return walkFromRoots(m, verbPure, computePurityFacts)
 }
 
 // computePurityFacts scans one function body for impure operations and
 // resolvable module callees.
-func computePurityFacts(fi *funcIndex, info *funcInfo) *purityFacts {
+func computePurityFacts(fi *funcIndex, info *funcInfo) *walkFacts {
 	p, fd := info.pkg, info.decl
-	ft := &purityFacts{}
+	ft := &walkFacts{}
 	impure := func(pos token.Pos, format string, args ...any) {
-		ft.ops = append(ft.ops, impureOp{pos: pos, what: fmt.Sprintf(format, args...)})
+		ft.ops = append(ft.ops, walkOp{pos: pos, what: fmt.Sprintf(format, args...)})
 	}
 	calleeSeen := map[*funcInfo]bool{}
 

@@ -25,7 +25,9 @@ package lint
 //     per-cycle path advances it, the skip path does not).
 //
 // Like survives and quiescent, stale or unattached nscaled directives
-// are findings in their own right and cannot be suppressed.
+// are findings in their own right. Unlike ffsound and flushreset,
+// skipset audits statistics structs too: a blocked-cycle counter must
+// n-scale like any other field.
 
 import (
 	"fmt"
@@ -68,41 +70,20 @@ func skipSet(m *Module) []Diagnostic {
 	for _, info := range bulkFuncs {
 		pkgs[info.pkg] = true
 	}
-	fields, owner := auditedFields(m, pkgs)
-
-	// nscaled claims like quiescent: trailing, or up to two lines above,
-	// so it stacks with unit/survives directives on the same field.
-	attached := map[*nscaled]int{}
-	claim := func(filename string, fieldLine int) *nscaled {
-		for _, l := range []int{fieldLine, fieldLine - 1, fieldLine - 2} {
-			for _, d := range m.nscaleds[filename][l] {
-				if d.reason == "" {
-					continue // malformed, already a lint finding
-				}
-				if at, ok := attached[d]; ok && at != fieldLine {
-					continue
-				}
-				attached[d] = fieldLine
-				return d
-			}
-		}
-		return nil
-	}
+	fields, owner := auditedFields(m, pkgs, true)
 
 	var diags []Diagnostic
 	for _, fv := range fields {
 		pos := m.Fset.Position(fv.Pos())
-		d := claim(pos.Filename, pos.Line)
+		d := m.directiveFor(fv, verbNscaled)
 		bulkSite, inBulk := bulkW[fv]
 		tickSite, inTick := tickW[fv]
 		switch {
-		case inBulk && d != nil:
-			d.used = true
-		case inBulk:
+		case inBulk && d == nil:
 			diags = append(diags, Diagnostic{Pos: pos, Check: "skipset",
 				Message: fmt.Sprintf("field %s.%s is written by the bulk-advance closure (by %s) but not declared n-scalable: annotate //rarlint:nscaled <reason> or stop writing it on the skip path",
 					owner[fv], fv.Name(), bulkSite.fn)})
-		case d != nil:
+		case !inBulk && d != nil:
 			diags = append(diags, Diagnostic{Pos: pos, Check: "skipset",
 				Message: fmt.Sprintf("stale rarlint:nscaled on %s.%s: the bulk-advance closure does not write the field; remove the annotation",
 					owner[fv], fv.Name())})
@@ -113,8 +94,5 @@ func skipSet(m *Module) []Diagnostic {
 					owner[fv], fv.Name(), tickSite.fn)})
 		}
 	}
-
-	diags = append(diags, unattachedDirectives(m, verbNscaled, "skipset", m.nscaleds,
-		func(d *nscaled) bool { _, ok := attached[d]; return ok || d.reason == "" })...)
 	return diags
 }

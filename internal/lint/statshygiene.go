@@ -12,10 +12,12 @@ package lint
 //   - read but never written: a reporter renders a field nothing ever
 //     sets, producing an always-zero column that looks like data.
 //
-// Audited structs are the named types "Stats" and "Metrics" declared
-// under <module>/internal/. Counter-wise plumbing (warmup subtraction,
-// sample aggregation — `out.Cycles -= w.Cycles`) counts as neither a
-// read nor a write; see fieldflow.go. Serialization of a whole struct
+// Audited structs are the statistics structs (Module.isStatsStruct): the
+// named types "Stats" and "Metrics" declared under <module>/internal/,
+// the same rule that exempts them from ffsound and flushreset.
+// Counter-wise plumbing (warmup subtraction, sample aggregation —
+// `out.Cycles -= w.Cycles`) counts as neither a read nor a write; see
+// fieldflow.go. Serialization of a whole struct
 // (encoding/json et al.) does not count as a read: a field whose only
 // consumer is a JSON dump still needs an allow directive explaining who
 // reads that JSON.
@@ -23,31 +25,21 @@ package lint
 import (
 	"fmt"
 	"go/types"
-	"sort"
 )
 
 func statsHygiene(m *Module) []Diagnostic {
 	audited := map[*types.Var]bool{}
-	var fields []*types.Var // declaration order for deterministic output
+	var fields []*types.Var
 	owner := map[*types.Var]string{}
 
 	for _, p := range m.Pkgs {
-		if !m.IsInternal(p) {
-			continue
-		}
 		scope := p.Types.Scope()
 		for _, name := range scope.Names() {
-			if name != "Stats" && name != "Metrics" {
-				continue
-			}
 			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() || m.isTestPos(tn.Pos()) {
+			if !ok || !m.isStatsStruct(tn) {
 				continue
 			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
+			st := tn.Type().Underlying().(*types.Struct)
 			for i := 0; i < st.NumFields(); i++ {
 				fv := st.Field(i)
 				audited[fv] = true
@@ -93,6 +85,5 @@ func statsHygiene(m *Module) []Diagnostic {
 			Message: msg,
 		})
 	}
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos.Offset < diags[j].Pos.Offset })
 	return diags
 }

@@ -16,6 +16,16 @@ type machine struct {
 	// restored is runahead-written AND reset, so its waiver is stale.
 	//lintwant flushreset
 	restored uint64 //rarlint:survives wrongly waived: exitRunahead does restore this
+	// stats is a statistics struct, which flushreset does not audit.
+	stats Stats
+}
+
+// Stats is a statistics struct: its runahead-written counters need no
+// survives waiver, and a waiver on one governs nothing audited.
+type Stats struct {
+	Entries uint64
+	//lintwant flushreset
+	Dropped uint64 //rarlint:survives statistics counter: runahead activity is metered, not squashed
 }
 
 type snapshot struct {
@@ -29,6 +39,8 @@ func (m *machine) enterRunahead() {
 	m.count++
 	m.bumpDepth()
 	m.restored = 7
+	m.stats.Entries++
+	m.stats.Dropped++
 }
 
 func (m *machine) bumpDepth() { m.depth++ }

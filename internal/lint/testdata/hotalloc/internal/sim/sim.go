@@ -162,3 +162,16 @@ var budget = 64
 func coldSetup() *core {
 	return &core{buf: make([]int, 0, budget)}
 }
+
+// A barrier allow trailing one call cuts only that call: the same
+// callee on the next line is followed, and its allocation reported.
+//
+//rarlint:hot
+func regrow(c *core) {
+	reserve(c) //rarlint:allow hotalloc one-time warmup growth, audited
+	reserve(c)
+}
+
+func reserve(c *core) {
+	c.log = make([]int, 0, 64) //lintwant hotalloc
+}

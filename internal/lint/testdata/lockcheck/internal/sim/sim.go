@@ -220,3 +220,24 @@ func (s *store) compact() {
 	s.n = 0
 	s.mu.Unlock()
 }
+
+// Directives stack in a field's doc comment in any order: the guardedby
+// above a unit directive still guards the field.
+type stacked struct {
+	mu sync.Mutex
+	//rarlint:guardedby mu
+	//rarlint:unit cycles
+	n uint64
+}
+
+// Clean: the stacked guard is honoured.
+func (s *stacked) add(d uint64) {
+	s.mu.Lock()
+	s.n += d
+	s.mu.Unlock()
+}
+
+// The stacked guard is enforced, too.
+func (s *stacked) peek() uint64 {
+	return s.n //lintwant lockcheck
+}

@@ -48,3 +48,12 @@ func farAway() time.Time {
 
 	return time.Now() //lintwant determinism
 }
+
+// An allow trailing a statement governs its own line only: the call on
+// the next line is still reported. Only an allow standing alone on its
+// line reaches the line below.
+func trailing() (time.Time, time.Time) {
+	a := time.Now() //rarlint:allow determinism corpus host-side example
+	b := time.Now() //lintwant determinism
+	return a, b
+}

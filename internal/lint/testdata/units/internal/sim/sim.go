@@ -4,6 +4,8 @@
 // finding.
 package sim
 
+import "sync"
+
 type stats struct {
 	cycles   uint64 //rarlint:unit cycles
 	insts    uint64 //rarlint:unit insts
@@ -71,4 +73,19 @@ func helper(o odometer) uint64 {
 	//rarlint:unit cycles
 	v++
 	return v
+}
+
+// Directives stack in a field's doc comment in any order: the unit above
+// a guardedby directive still annotates the field.
+type gauge struct {
+	mu sync.Mutex
+	//rarlint:unit cycles
+	//rarlint:guardedby mu
+	busy uint64
+}
+
+func (g *gauge) mix(s stats) uint64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.busy + s.insts //lintwant units
 }

@@ -180,95 +180,26 @@ func unitsCheck(m *Module) []Diagnostic {
 			a.checkFile(p, f, report)
 		}
 	}
-	diags = append(diags, unattachedDirectives(m, verbUnit, "units", m.units,
-		func(d *unitDecl) bool { return d.used })...)
 	return diags
 }
 
-// collect walks every non-test file matching unit directives to struct
-// fields (same line, else the line above) and to function declarations
-// (func line or doc comment). Fields are matched in line order so a
-// directive trailing one field is never mistaken for a standalone
-// directive above the next.
+// collect reads the unit directives the loader attached to struct
+// fields and function declarations outside test files.
 func (a *unitsAnalysis) collect() {
-	for _, p := range a.m.Pkgs {
-		for _, f := range p.Files {
-			if a.m.isTestFile(f) {
-				continue
-			}
-			filename := a.m.fileName(f)
-			type fieldAt struct {
-				line int
-				vars []*types.Var
-			}
-			var fields []fieldAt
-			var funcs []*ast.FuncDecl
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncDecl:
-					funcs = append(funcs, n)
-					return true
-				case *ast.StructType:
-					for _, fld := range n.Fields.List {
-						var vars []*types.Var
-						for _, name := range fld.Names {
-							if v, ok := p.Info.Defs[name].(*types.Var); ok {
-								vars = append(vars, v)
-							}
-						}
-						if len(vars) > 0 {
-							fields = append(fields, fieldAt{line: a.m.Fset.Position(fld.Pos()).Line, vars: vars})
-						}
-					}
-				}
-				return true
-			})
-			sort.Slice(fields, func(i, j int) bool { return fields[i].line < fields[j].line })
-			for _, fld := range fields {
-				if d, ok := a.takeUnit(filename, fld.line, fld.line); ok {
-					for _, v := range fld.vars {
-						a.fieldUnits[v] = d
-					}
-				} else if d, ok := a.takeUnit(filename, fld.line-1, fld.line-1); ok {
-					for _, v := range fld.vars {
-						a.fieldUnits[v] = d
-					}
-				}
-			}
-			for _, fd := range funcs {
-				funcLine := a.m.Fset.Position(fd.Pos()).Line
-				first := funcLine - 1
-				if fd.Doc != nil {
-					first = a.m.Fset.Position(fd.Doc.Pos()).Line
-				}
-				if d, ok := a.takeUnit(filename, first, funcLine); ok {
-					if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-						a.funcUnits[fn] = d
-					}
-				}
+	for obj := range a.m.byObj {
+		if a.m.isTestPos(obj.Pos()) {
+			continue
+		}
+		if d := a.m.directiveFor(obj, verbUnit); d != nil {
+			u, _ := parseUnit(d.args[0]) // well-formed, so it parses
+			switch obj := obj.(type) {
+			case *types.Var:
+				a.fieldUnits[obj] = u
+			case *types.Func:
+				a.funcUnits[obj] = u
 			}
 		}
 	}
-}
-
-// takeUnit consumes the first unused, parseable unit directive in the
-// line range. Unparseable directives are consumed too — they are
-// already lint findings — but yield no annotation.
-func (a *unitsAnalysis) takeUnit(filename string, firstLine, lastLine int) (dim, bool) {
-	byLine := a.m.units[filename]
-	for line := firstLine; line <= lastLine; line++ {
-		for _, u := range byLine[line] {
-			if u.used {
-				continue
-			}
-			u.used = true
-			if d, err := parseUnit(u.expr); err == nil {
-				return d, true
-			}
-			return nil, false
-		}
-	}
-	return nil, false
 }
 
 // checkFile enforces the three unit rules over one file.

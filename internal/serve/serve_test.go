@@ -76,10 +76,32 @@ func post(t *testing.T, url string, req MatrixRequest, hdr map[string]string) (i
 // TestMatrixDedupAcrossRequests fires concurrent identical matrix POSTs:
 // every request gets the full result, but the engine must simulate each
 // unique cell exactly once — the in-flight singleflight and memo cache
-// span requests because they live in the shared engine.
+// span requests because they live in the shared engine. A /metrics
+// poller runs alongside, so under -race the snapshot's reads of the
+// engine counters and the latency ring are checked against the
+// requests' writes.
 func TestMatrixDedupAcrossRequests(t *testing.T) {
 	_, eng, ts := newTestServer(t)
 	req := testRequest()
+
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			_ = resp.Body.Close()
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
 
 	const clients = 4
 	bodies := make([][]byte, clients)
@@ -93,6 +115,8 @@ func TestMatrixDedupAcrossRequests(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	close(stop)
+	<-polled
 
 	for i := 0; i < clients; i++ {
 		if statuses[i] != http.StatusOK {

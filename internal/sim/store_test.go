@@ -171,3 +171,43 @@ func TestDiskByteBudget(t *testing.T) {
 		t.Errorf("after trim: entries=%d evicted=%d, want 1/1", m.DiskEntries, m.Evicted)
 	}
 }
+
+// TestMetricsWhileMatrixEvicts polls Engine.Metrics from a second
+// goroutine while a two-wide matrix on a persistent engine writes cell
+// files over an entry budget, so every write evicts. Under -race it
+// checks the locks that keep those snapshots safe: the engine lock in
+// Metrics and the store lock in add and gauges.
+func TestMetricsWhileMatrixEvicts(t *testing.T) {
+	e := stubEngine(t, t.TempDir())
+	e.SetDiskBudget(0, 2)
+	schemes := []config.Scheme{config.OoO, config.FLUSH, config.PRE, config.RAR}
+	benches := twoBenches(t)
+	opt := smallOpt()
+	opt.Parallelism = 2
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			if m := e.Metrics(); m.DiskEntries > 2 {
+				t.Errorf("snapshot holds %d disk entries over a budget of 2", m.DiskEntries)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	_, err := e.RunMatrix([]config.Core{config.Baseline()}, schemes, benches, opt)
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := uint64(len(schemes) * len(benches))
+	if m := e.Metrics(); m.Simulated != cells || m.DiskEntries != 2 || m.Evicted != cells-2 {
+		t.Errorf("after the matrix: simulated=%d entries=%d evicted=%d, want %d/2/%d",
+			m.Simulated, m.DiskEntries, m.Evicted, cells, cells-2)
+	}
+}
