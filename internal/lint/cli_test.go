@@ -53,6 +53,42 @@ func TestMainExitCodes(t *testing.T) {
 		}
 	})
 
+	t.Run("check-alias", func(t *testing.T) {
+		// The -check alias is gone; -checks is the one spelling. A caller
+		// still passing -check gets a usage error and no analysis, not a
+		// run of every check.
+		var out, errb strings.Builder
+		code := Main([]string{"-check", "determinism", filepath.Join("testdata", "determinism")}, &out, &errb)
+		if code != ExitError {
+			t.Fatalf("exit = %d, want %d\nstdout:\n%s\nstderr:\n%s", code, ExitError, out.String(), errb.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("-check still ran the analyzers:\n%s", out.String())
+		}
+		if !strings.Contains(errb.String(), "flag provided but not defined: -check") {
+			t.Errorf("stderr lacks the undefined-flag error:\n%s", errb.String())
+		}
+		if !strings.Contains(errb.String(), "[-checks list]") {
+			t.Errorf("usage does not name -checks:\n%s", errb.String())
+		}
+	})
+
+	t.Run("check-alias-unknown", func(t *testing.T) {
+		// -check is rejected while parsing flags, before any check name
+		// is resolved, so the error is about the flag, not the name.
+		var out, errb strings.Builder
+		code := Main([]string{"-check", "nosuch", filepath.Join("testdata", "errdiscipline")}, &out, &errb)
+		if code != ExitError {
+			t.Fatalf("exit = %d, want %d", code, ExitError)
+		}
+		if !strings.Contains(errb.String(), "flag provided but not defined: -check") {
+			t.Errorf("stderr lacks the undefined-flag error:\n%s", errb.String())
+		}
+		if strings.Contains(errb.String(), "unknown check") {
+			t.Errorf("-check reached check-name resolution:\n%s", errb.String())
+		}
+	})
+
 	t.Run("unknown-check", func(t *testing.T) {
 		var out, errb strings.Builder
 		code := Main([]string{"-checks", "nosuch", filepath.Join("testdata", "errdiscipline")}, &out, &errb)
