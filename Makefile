@@ -53,9 +53,10 @@ serve-smoke:
 
 # microbench runs the tracked go-test microbenchmarks: the root engine
 # benchmarks, the block-vs-scalar uop synthesis pair in internal/trace,
-# and the warmed-window stage-loop benchmarks in internal/core.
+# the warmed-window stage-loop benchmarks in internal/core, and one warm
+# /matrix request in internal/serve.
 microbench:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/trace ./internal/core
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/trace ./internal/core ./internal/serve
 
 clean:
 	rm -rf results/cache

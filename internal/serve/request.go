@@ -8,7 +8,9 @@ package serve
 // valid ones, so the API is discoverable from its error messages.
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"rarsim/internal/config"
@@ -18,8 +20,13 @@ import (
 
 // maxCells bounds one request's matrix so a single client cannot queue
 // an unbounded amount of simulation behind one POST. Bigger studies
-// split into several requests and still dedup/cache server-side.
+// split into several requests and still dedup/cache server-side. It also
+// bounds each name list, before any name is looked up.
 const maxCells = 4096
+
+// maxBodyBytes bounds a POST /matrix body. A list of maxCells benchmark
+// names, the longest valid request, takes well under a tenth of it.
+const maxBodyBytes = 1 << 20
 
 // maxCellInsts bounds one cell's warmup plus measured instructions, so a
 // single cell cannot occupy a worker indefinitely: 100x the default cell,
@@ -79,8 +86,30 @@ type matrixSpec struct {
 	keys    []sim.CellKey // cell identities in response order
 }
 
+// decodeRequest reads one MatrixRequest JSON value, rejecting unknown
+// fields.
+func decodeRequest(r io.Reader) (MatrixRequest, error) {
+	var req MatrixRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
+}
+
 // resolve validates a request and maps its names onto built-in configs.
 func resolve(req MatrixRequest) (*matrixSpec, error) {
+	// No valid matrix has a list longer than maxCells. Rejecting one
+	// before its names are looked up bounds the work a request can cause,
+	// and keeps the lists' product from overflowing.
+	for _, l := range []struct {
+		what  string
+		names []string
+	}{{"cores", req.Cores}, {"schemes", req.Schemes}, {"benches", req.Benches}} {
+		if len(l.names) > maxCells {
+			return nil, fmt.Errorf("%d %s exceed the per-request limit of %d cells; split the request", len(l.names), l.what, maxCells)
+		}
+	}
+
 	spec := &matrixSpec{}
 
 	if len(req.Cores) == 0 {
@@ -116,7 +145,7 @@ func resolve(req MatrixRequest) (*matrixSpec, error) {
 		spec.benches = append(spec.benches, b)
 	}
 
-	cells := len(spec.cores) * len(spec.schemes) * len(spec.benches)
+	cells := int64(len(spec.cores)) * int64(len(spec.schemes)) * int64(len(spec.benches))
 	if cells > maxCells {
 		return nil, fmt.Errorf("matrix of %d cells exceeds the per-request limit of %d; split the request", cells, maxCells)
 	}
@@ -133,46 +162,33 @@ func resolve(req MatrixRequest) (*matrixSpec, error) {
 			spec.opt.Warmup, spec.opt.Instructions, maxCellInsts)
 	}
 
-	spec.keys = make([]sim.CellKey, 0, cells)
-	for _, c := range spec.cores {
-		for _, s := range spec.schemes {
-			for _, b := range spec.benches {
-				spec.keys = append(spec.keys, sim.KeyFor(c, s, b, spec.opt))
-			}
-		}
-	}
+	spec.keys = sim.MatrixKeys(spec.cores, spec.schemes, spec.benches, spec.opt)
 	return spec, nil
 }
 
-// cells assembles the response cells from a completed result set, in the
-// same order the keys were enumerated.
+// cells assembles the response cells from a completed result set, in
+// key order.
 func (spec *matrixSpec) cells(rs *sim.ResultSet) ([]CellResult, error) {
 	out := make([]CellResult, 0, len(spec.keys))
-	i := 0
-	for _, c := range spec.cores {
-		for _, s := range spec.schemes {
-			for _, b := range spec.benches {
-				st, ok := rs.Stats(c.Name, s.Name, b.Name)
-				if !ok {
-					return nil, fmt.Errorf("result set is missing cell %s/%s/%s", c.Name, s.Name, b.Name)
-				}
-				out = append(out, CellResult{
-					Core:      c.Name,
-					Scheme:    s.Name,
-					Bench:     b.Name,
-					ETag:      spec.keys[i].ETag(),
-					IPC:       st.IPC(),
-					MLP:       st.Mem.MLP(),
-					MPKI:      st.MPKI(),
-					AVF:       st.AVF(),
-					Cycles:    st.Cycles,
-					Committed: st.Committed,
-					TotalABC:  st.TotalABC,
-					TotalBits: st.TotalBits,
-				})
-				i++
-			}
+	for _, k := range spec.keys {
+		st, ok := rs.Stats(k.Core, k.Scheme, k.Bench)
+		if !ok {
+			return nil, fmt.Errorf("result set is missing cell %s", k)
 		}
+		out = append(out, CellResult{
+			Core:      k.Core,
+			Scheme:    k.Scheme,
+			Bench:     k.Bench,
+			ETag:      k.ETag(),
+			IPC:       st.IPC(),
+			MLP:       st.Mem.MLP(),
+			MPKI:      st.MPKI(),
+			AVF:       st.AVF(),
+			Cycles:    st.Cycles,
+			Committed: st.Committed,
+			TotalABC:  st.TotalABC,
+			TotalBits: st.TotalBits,
+		})
 	}
 	return out, nil
 }

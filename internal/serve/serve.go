@@ -116,12 +116,15 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a MatrixRequest JSON body")
 		return
 	}
-	var req MatrixRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		s.clientErrs.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	spec, err := resolve(req)
@@ -262,13 +265,15 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // etagMatches implements the If-None-Match comparison: a comma-separated
-// list of entity tags, or "*" for "any".
+// list of entity tags, or "*" for "any". RFC 9110 §13.1.2 makes it a weak
+// comparison, so a candidate matches with or without a W/ prefix (which
+// compressing proxies add to the strong tags this server sends).
 func etagMatches(header, etag string) bool {
 	if header == "" {
 		return false
 	}
 	for _, candidate := range strings.Split(header, ",") {
-		candidate = strings.TrimSpace(candidate)
+		candidate = strings.TrimPrefix(strings.TrimSpace(candidate), "W/")
 		if candidate == "*" || candidate == etag {
 			return true
 		}

@@ -190,10 +190,27 @@ func TestETagRevalidation(t *testing.T) {
 	if hdr2.Get("ETag") == etag {
 		t.Error("changed request reused the old ETag")
 	}
+
+	// If-None-Match compares weakly (RFC 9110 §13.1.2): a W/ tag, as a
+	// compressing proxy rewrites it, and a tag inside a list both match.
+	for _, inm := range []string{
+		"W/" + etag,
+		`"0000000000000000", ` + etag,
+		`"0000000000000000",W/` + etag,
+	} {
+		status, _, _ := post(t, ts.URL+"/matrix", req, map[string]string{"If-None-Match": inm})
+		if status != http.StatusNotModified {
+			t.Errorf("If-None-Match %s: status %d, want 304", inm, status)
+		}
+	}
+	if m := eng.Metrics(); m.Hits != 0 {
+		t.Errorf("weak revalidations touched the engine: %+v", m)
+	}
 }
 
 // TestValidation: unknown names are 400s that list the valid
-// vocabulary; oversized matrices and junk bodies are 400s too.
+// vocabulary; oversized matrices and junk bodies are 400s too, and an
+// oversized body is a 413.
 func TestValidation(t *testing.T) {
 	_, eng, ts := newTestServer(t)
 
@@ -229,13 +246,37 @@ func TestValidation(t *testing.T) {
 		t.Errorf("instruction count over the per-cell cap: status %d", status)
 	}
 
-	resp, err := http.Post(ts.URL+"/matrix", "application/json", bytes.NewReader([]byte("{not json")))
-	if err != nil {
-		t.Fatal(err)
+	// A list longer than any valid matrix is refused before its names
+	// are looked up.
+	req = testRequest()
+	req.Benches = make([]string, maxCells+1)
+	for i := range req.Benches {
+		req.Benches[i] = "mcf"
 	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("junk body: status %d", resp.StatusCode)
+	status, _, body = post(t, ts.URL+"/matrix", req, nil)
+	if status != http.StatusBadRequest || !bytes.Contains(body, []byte("benches")) {
+		t.Errorf("%d benches: status %d, body %s", len(req.Benches), status, body)
+	}
+
+	postRaw := func(body []byte) int {
+		resp, err := http.Post(ts.URL+"/matrix", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		return resp.StatusCode
+	}
+	if status := postRaw([]byte("{not json")); status != http.StatusBadRequest {
+		t.Errorf("junk body: status %d", status)
+	}
+	// A body over the cap is refused however valid its start.
+	huge := []byte(`{"benches":[`)
+	for len(huge) <= maxBodyBytes {
+		huge = append(huge, `"mcf",`...)
+	}
+	huge = append(huge, `"mcf"]}`...)
+	if status := postRaw(huge); status != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d-byte body: status %d, want 413", len(huge), status)
 	}
 
 	if m := eng.Metrics(); m.Simulated != 0 || m.Errors != 0 {
@@ -379,5 +420,29 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if snap.Pool.Size != 4 {
 		t.Errorf("pool size = %d, want 4", snap.Pool.Size)
+	}
+}
+
+// BenchmarkWarmMatrix measures one warm 4-cell POST /matrix through
+// Server.Handler: every cell is a memory hit, so the time is the
+// request's own path (decode, resolve, ETag, engine lookup, encode).
+func BenchmarkWarmMatrix(b *testing.B) {
+	h := New(sim.NewEngine(), sim.NewPool(2)).Handler()
+	body, err := json.Marshal(testRequest())
+	if err != nil {
+		b.Fatal(err)
+	}
+	request := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/matrix", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	request() // simulates the four cells
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		request()
 	}
 }

@@ -56,23 +56,50 @@ func (k CellKey) String() string {
 	return fmt.Sprintf("%s/%s/%s", k.Core, k.Scheme, k.Bench)
 }
 
-// KeyFor computes the cache key of one cell. The hash covers every field
-// of the core config (including the memory hierarchy and DRAM timing),
-// the scheme feature flags, and the benchmark's kernel definitions, via
-// their canonical Go-syntax representations — all three are plain value
-// structs, so the representation is deterministic.
+// KeyFor computes the cache key of one cell: MatrixKeys of the 1×1×1
+// matrix. ConfigHash covers every field of the core config (including the
+// memory hierarchy and DRAM timing), the scheme feature flags, and the
+// benchmark's kernel definitions, via their canonical encoding.
 func KeyFor(cfg config.Core, scheme config.Scheme, bench trace.Benchmark, opt Options) CellKey {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%#v\x00%#v\x00%#v", cfg, scheme, bench)
-	return CellKey{
-		Core:         cfg.Name,
-		Scheme:       scheme.Name,
-		Bench:        bench.Name,
-		Instructions: opt.Instructions,
-		Warmup:       opt.Warmup,
-		Seed:         opt.Seed,
-		ConfigHash:   h.Sum64(),
+	return MatrixKeys([]config.Core{cfg}, []config.Scheme{scheme}, []trace.Benchmark{bench}, opt)[0]
+}
+
+// MatrixKeys returns the keys of every cell of a cores × schemes × benches
+// matrix in response order: cores outermost, then schemes, then benches.
+// It fingerprints each core, scheme and benchmark once and derives each
+// cell's ConfigHash from its three fingerprints, so a matrix costs one
+// canonical walk per list entry rather than one per cell.
+func MatrixKeys(cores []config.Core, schemes []config.Scheme, benches []trace.Benchmark, opt Options) []CellKey {
+	schemeFP := make([]uint64, len(schemes))
+	for i := range schemes {
+		schemeFP[i] = fingerprint(&schemes[i])
 	}
+	benchFP := make([]uint64, len(benches))
+	for i := range benches {
+		benchFP[i] = fingerprint(&benches[i])
+	}
+	keys := make([]CellKey, 0, len(cores)*len(schemes)*len(benches))
+	for i := range cores {
+		coreFP := fingerprint(&cores[i])
+		for j := range schemes {
+			for k := range benches {
+				h := newFNV64()
+				h.u64(coreFP)
+				h.u64(schemeFP[j])
+				h.u64(benchFP[k])
+				keys = append(keys, CellKey{
+					Core:         cores[i].Name,
+					Scheme:       schemes[j].Name,
+					Bench:        benches[k].Name,
+					Instructions: opt.Instructions,
+					Warmup:       opt.Warmup,
+					Seed:         opt.Seed,
+					ConfigHash:   uint64(h),
+				})
+			}
+		}
+	}
+	return keys
 }
 
 // SchemaHash fingerprints the shape (field names and types, recursively)
@@ -320,8 +347,14 @@ func (e *Engine) Metrics() Metrics {
 // Without a TTL a failure is forgotten immediately and a later call
 // retries.
 func (e *Engine) Run(cfg config.Core, scheme config.Scheme, bench trace.Benchmark, opt Options) (core.Stats, error) {
-	key := KeyFor(cfg, scheme, bench, opt)
+	return e.run(nil, KeyFor(cfg, scheme, bench, opt), cfg, scheme, bench, opt)
+}
 
+// run is Run for a cell whose key the caller has already computed. Only
+// the simulation itself occupies a slot of pool: a memory hit, a disk
+// load or a wait on an identical in-flight cell never holds or waits for
+// one.
+func (e *Engine) run(pool *Pool, key CellKey, cfg config.Core, scheme config.Scheme, bench trace.Benchmark, opt Options) (core.Stats, error) {
 	e.mu.Lock()
 	ent, ok := e.cells[key]
 	if ok && ent.err != nil {
@@ -367,13 +400,20 @@ func (e *Engine) Run(cfg config.Core, scheme config.Scheme, bench trace.Benchmar
 		e.progress(key, "disk", 0, st)
 		return st, nil
 	}
-	// Host-side wall-clock timing of the simulation, for the SimTime
-	// metric and progress lines only. It never feeds a cell's Stats or
-	// the cache key, so it is outside the simulated-state determinism
-	// boundary.
-	start := time.Now() //rarlint:allow determinism host-side timing; never enters simulated state or the cache
-	st, err := e.runCell(cfg, scheme, bench, opt)
-	dur := time.Since(start) //rarlint:allow determinism host-side timing; never enters simulated state or the cache
+	var (
+		st  core.Stats
+		err error
+		dur time.Duration
+	)
+	pool.Do(func() {
+		// Host-side wall-clock timing of the simulation, for the SimTime
+		// metric and progress lines only. It never feeds a cell's Stats
+		// or the cache key, so it is outside the simulated-state
+		// determinism boundary.
+		start := time.Now() //rarlint:allow determinism host-side timing; never enters simulated state or the cache
+		st, err = e.runCell(cfg, scheme, bench, opt)
+		dur = time.Since(start) //rarlint:allow determinism host-side timing; never enters simulated state or the cache
+	})
 
 	e.mu.Lock()
 	ent.stats, ent.err = st, err
@@ -430,10 +470,8 @@ type diskCell struct {
 // cellPath maps a key to its cache file. The name hashes every key field
 // (the human-readable names are prefixed for browsability).
 func (e *Engine) cellPath(key CellKey) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%#v", key)
 	return filepath.Join(e.dir, fmt.Sprintf("%s_%s_%s_%016x.json",
-		sanitize(key.Core), sanitize(key.Scheme), sanitize(key.Bench), h.Sum64()))
+		sanitize(key.Core), sanitize(key.Scheme), sanitize(key.Bench), fingerprint(&key)))
 }
 
 // sanitize keeps cache filenames portable.
@@ -521,32 +559,23 @@ func (e *Engine) RunMatrix(cores []config.Core, schemes []config.Scheme, benches
 // still schedules at most opt.Parallelism cells of its own, but every
 // simulation additionally occupies a pool slot, so concurrent matrices —
 // the server's concurrent requests — share one process-wide concurrency
-// budget instead of each bringing their own. A nil pool reproduces
-// RunMatrix exactly.
+// budget instead of each bringing their own. Only simulations take a
+// slot: a cell served from memory, from disk or by an identical
+// in-flight simulation never waits behind unrelated work. The matrix's
+// keys come from one MatrixKeys call, so no cell is fingerprinted twice.
+// A nil pool reproduces RunMatrix exactly.
 func (e *Engine) RunMatrixOn(pool *Pool, cores []config.Core, schemes []config.Scheme, benches []trace.Benchmark, opt Options) (*ResultSet, error) {
-	type job struct {
-		cfg    config.Core
-		scheme config.Scheme
-		bench  trace.Benchmark
-	}
-	var jobs []job
-	for _, cfg := range cores {
-		for _, s := range schemes {
-			for _, b := range benches {
-				jobs = append(jobs, job{cfg, s, b})
-			}
-		}
-	}
+	keys := MatrixKeys(cores, schemes, benches, opt)
 
 	par := opt.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par > len(jobs) {
-		par = len(jobs)
+	if par > len(keys) {
+		par = len(keys)
 	}
 
-	rs := &ResultSet{cells: make(map[Key]core.Stats, len(jobs))}
+	rs := &ResultSet{cells: make(map[Key]core.Stats, len(keys))}
 	var (
 		mu   sync.Mutex
 		wg   sync.WaitGroup
@@ -557,23 +586,27 @@ func (e *Engine) RunMatrixOn(pool *Pool, cores []config.Core, schemes []config.S
 		defer wg.Done()
 		for {
 			mu.Lock()
-			if len(errs) > 0 || next >= len(jobs) {
+			if len(errs) > 0 || next >= len(keys) {
 				mu.Unlock()
 				return
 			}
-			j := jobs[next]
+			i := next
 			next++
 			mu.Unlock()
 
-			var st core.Stats
-			var err error
-			pool.Do(func() { st, err = e.Run(j.cfg, j.scheme, j.bench, opt) })
+			// Cell i of the cores × schemes × benches product, the order
+			// MatrixKeys enumerates.
+			k := keys[i]
+			b := i % len(benches)
+			s := i / len(benches) % len(schemes)
+			c := i / (len(benches) * len(schemes))
+			st, err := e.run(pool, k, cores[c], schemes[s], benches[b], opt)
 			mu.Lock()
 			switch {
 			case err != nil:
-				errs = append(errs, fmt.Errorf("%s/%s/%s: %w", j.cfg.Name, j.scheme.Name, j.bench.Name, err))
+				errs = append(errs, fmt.Errorf("%s: %w", k, err))
 			case len(errs) == 0:
-				rs.cells[Key{j.cfg.Name, j.scheme.Name, j.bench.Name}] = st
+				rs.cells[Key{k.Core, k.Scheme, k.Bench}] = st
 			}
 			mu.Unlock()
 		}

@@ -149,6 +149,138 @@ func TestKeyInvalidation(t *testing.T) {
 	if KeyFor(c2, config.RAR, bench, opt) == base {
 		t.Error("configs sharing a name but differing in content must not collide")
 	}
+
+	// Every leaf field reachable from the core, the scheme and the
+	// benchmark, the kernels' Body ops and Streams included, feeds
+	// ConfigHash: changing only that leaf must change the hash.
+	type cell struct {
+		Core   config.Core
+		Scheme config.Scheme
+		Bench  trace.Benchmark
+	}
+	c := cell{cfg, config.RAR, cloneBench(t, bench)}
+	hash := func() uint64 { return KeyFor(c.Core, c.Scheme, c.Bench, opt).ConfigHash }
+	want := hash()
+	leaves := 0
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+		case reflect.Slice:
+			if v.Len() == 0 {
+				t.Errorf("%s is empty, so the fields of its elements go unchecked", path)
+			}
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+			}
+		default:
+			old := reflect.New(v.Type()).Elem()
+			old.Set(v)
+			bump(t, v)
+			if hash() == want {
+				t.Errorf("changing only %s must change ConfigHash", path)
+			}
+			v.Set(old)
+			leaves++
+		}
+	}
+	walk(reflect.ValueOf(&c).Elem(), "cell")
+	if hash() != want {
+		t.Fatal("restoring every leaf did not restore ConfigHash")
+	}
+	t.Logf("%d leaves checked", leaves)
+
+	// The length prefixes: moving an op between two kernels, or a
+	// character between two adjacent strings of a key, must change the
+	// hash. Op and kernels are all zero, so only the Body lengths tell
+	// the two benchmarks apart.
+	opIn := func(k int) trace.Benchmark {
+		b := trace.Benchmark{Kernels: make([]trace.Kernel, 2)}
+		b.Kernels[k].Body = []trace.Op{{}}
+		return b
+	}
+	if KeyFor(cfg, config.RAR, opIn(0), opt).ConfigHash == KeyFor(cfg, config.RAR, opIn(1), opt).ConfigHash {
+		t.Error("moving an op between adjacent kernels must change ConfigHash")
+	}
+	ab, bc := base, base
+	ab.Core, ab.Scheme = "ab", "c"
+	bc.Core, bc.Scheme = "a", "bc"
+	if ab.ETag() == bc.ETag() || fingerprint(&ab) == fingerprint(&bc) {
+		t.Error("moving a character between adjacent key strings must change the ETag and the cache file hash")
+	}
+
+	// Every built-in core, scheme and benchmark can be fingerprinted, and
+	// MatrixKeys enumerates exactly KeyFor's keys in response order.
+	cores := append(config.ScaledCores(), cfg)
+	schemes := append(config.Schemes(), config.RunaheadVariants()...)
+	benches := trace.All()
+	keys := MatrixKeys(cores, schemes, benches, opt)
+	if len(keys) != len(cores)*len(schemes)*len(benches) {
+		t.Fatalf("MatrixKeys returned %d keys for a %d×%d×%d matrix", len(keys), len(cores), len(schemes), len(benches))
+	}
+	i := 0
+	for _, c := range cores {
+		for _, s := range schemes {
+			for _, b := range benches {
+				if k := KeyFor(c, s, b, opt); keys[i] != k {
+					t.Errorf("MatrixKeys[%d] = %+v, KeyFor = %+v", i, keys[i], k)
+				}
+				i++
+			}
+		}
+	}
+}
+
+// TestFingerprintAllocatesNothing: the canonical encoder walks a core, a
+// scheme and a benchmark without a heap allocation.
+func TestFingerprintAllocatesNothing(t *testing.T) {
+	cfg := config.Baseline()
+	scheme := config.RAR
+	bench := twoBenches(t)[0]
+	var sum uint64
+	allocs := testing.AllocsPerRun(20, func() {
+		sum += fingerprint(&cfg) + fingerprint(&scheme) + fingerprint(&bench)
+	})
+	if allocs != 0 {
+		t.Errorf("fingerprinting allocated %.1f times per call, want 0", allocs)
+	}
+}
+
+// cloneBench deep-copies a benchmark, so a test can change it in place
+// without touching the shared built-in definition.
+func cloneBench(t *testing.T, b trace.Benchmark) trace.Benchmark {
+	t.Helper()
+	data, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out trace.Benchmark
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// bump changes a leaf value in place.
+func bump(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float() + 1)
+	case reflect.String:
+		v.SetString(v.String() + "'")
+	default:
+		t.Fatalf("no way to change a %s", v.Type())
+	}
 }
 
 // TestEngineSingleflight hammers one cell from many goroutines: exactly

@@ -9,28 +9,28 @@ package sim
 // touching the cache, the pool, or the simulator, even for cells it has
 // never simulated.
 
-import (
-	"fmt"
-	"hash/fnv"
-)
+import "fmt"
 
 // ETag returns a strong entity tag identifying this cell's result
-// content: the engine schema hash (the build's struct shapes, which
-// decide the result's JSON form) combined with the full cell key (names,
-// options and the content hash of core config, scheme and benchmark).
+// content: the canonical hash of the engine schema hash (the build's
+// struct shapes, which decide the result's JSON form) and the full cell
+// key (names, options and the content hash of core config, scheme and
+// benchmark).
 func (k CellKey) ETag() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s\x00%#v", SchemaHash(), k)
-	return fmt.Sprintf("\"%016x\"", h.Sum64())
+	h := newFNV64()
+	h.str(SchemaHash())
+	h.ptr(&k)
+	return quoteTag(h)
 }
 
 // MatrixETag combines the cell keys of one matrix request, in request
-// order, into a single strong entity tag for the whole response.
+// order, into a single strong entity tag for the whole response: the
+// canonical hash of the schema hash and the key list.
 func MatrixETag(keys []CellKey) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s", SchemaHash())
-	for _, k := range keys {
-		fmt.Fprintf(h, "\x00%#v", k)
-	}
-	return fmt.Sprintf("\"%016x\"", h.Sum64())
+	h := newFNV64()
+	h.str(SchemaHash())
+	h.ptr(&keys)
+	return quoteTag(h)
 }
+
+func quoteTag(h fnv64) string { return fmt.Sprintf("\"%016x\"", uint64(h)) }

@@ -118,3 +118,106 @@ func TestRunMatrixOnSharedPool(t *testing.T) {
 		t.Errorf("simulated %d cells, want %d (cross-matrix dedup)", m.Simulated, want)
 	}
 }
+
+// TestCacheHitHoldsNoPoolSlot: while an unrelated simulation holds a
+// 1-slot pool, a matrix whose cell is already cached must return without
+// waiting for the slot.
+func TestCacheHitHoldsNoPoolSlot(t *testing.T) {
+	benches := twoBenches(t)
+	gated, cached := benches[0], benches[1]
+	started, gate := make(chan struct{}), make(chan struct{})
+	e := NewEngine()
+	e.runCell = func(cfg config.Core, s config.Scheme, b trace.Benchmark, o Options) (core.Stats, error) {
+		if b.Name == gated.Name {
+			close(started)
+			<-gate
+		}
+		return core.Stats{Cycles: 100, Committed: o.Instructions}, nil
+	}
+	pool := NewPool(1)
+	cores := []config.Core{config.Baseline()}
+	schemes := []config.Scheme{config.OoO}
+	opt := smallOpt()
+	matrix := func(b trace.Benchmark) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := e.RunMatrixOn(pool, cores, schemes, []trace.Benchmark{b}, opt)
+			done <- err
+		}()
+		return done
+	}
+	if err := <-matrix(cached); err != nil {
+		t.Fatal(err)
+	}
+
+	held := matrix(gated)
+	<-started // the gated simulation holds the pool's only slot
+	select {
+	case err := <-matrix(cached):
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("a cached cell waited for the pool slot an unrelated simulation holds")
+	}
+	close(gate)
+	if err := <-held; err != nil {
+		t.Error(err)
+	}
+	if m := e.Metrics(); m.Simulated != 2 || m.Hits != 1 {
+		t.Errorf("simulated=%d hits=%d, want 2/1", m.Simulated, m.Hits)
+	}
+}
+
+// TestInFlightWaiterHoldsNoPoolSlot: with a 2-slot pool, cell X is
+// simulating and a second matrix waits on X in flight. The waiter must
+// not take the second slot, so a third matrix's cell Y starts simulating
+// while X is still gated.
+func TestInFlightWaiterHoldsNoPoolSlot(t *testing.T) {
+	benches := twoBenches(t)
+	x, y := benches[0], benches[1]
+	xStarted, yStarted, gate := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	e := NewEngine()
+	e.runCell = func(cfg config.Core, s config.Scheme, b trace.Benchmark, o Options) (core.Stats, error) {
+		if b.Name == x.Name {
+			close(xStarted)
+			<-gate
+		} else {
+			close(yStarted)
+		}
+		return core.Stats{Cycles: 100, Committed: o.Instructions}, nil
+	}
+	pool := NewPool(2)
+	cores := []config.Core{config.Baseline()}
+	schemes := []config.Scheme{config.OoO}
+	opt := smallOpt()
+	var wg sync.WaitGroup
+	matrix := func(b trace.Benchmark) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := e.RunMatrixOn(pool, cores, schemes, []trace.Benchmark{b}, opt); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+
+	matrix(x)
+	<-xStarted
+	matrix(x)
+	// No event marks the waiter's arrival at X's in-flight entry; give it
+	// time to get there (or, if it wrongly queues on the pool, to take the
+	// free slot), so Y's start below proves the waiter left the slot free.
+	time.Sleep(50 * time.Millisecond)
+	matrix(y)
+	select {
+	case <-yStarted:
+	case <-time.After(5 * time.Second):
+		t.Error("a waiter on an in-flight cell held a pool slot: Y could not start while X was simulating")
+	}
+	close(gate)
+	wg.Wait()
+	if m := e.Metrics(); m.Simulated != 2 || m.Hits != 1 {
+		t.Errorf("simulated=%d hits=%d, want 2/1", m.Simulated, m.Hits)
+	}
+}
