@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"rarsim"
+	"rarsim/internal/config"
 )
 
 func main() {
@@ -45,7 +46,7 @@ func main() {
 		return
 	}
 
-	cfg, err := pickCore(*coreName)
+	cfg, err := config.CoreByName(*coreName)
 	check(err)
 	switch *prefetch {
 	case "off", "":
@@ -144,18 +145,6 @@ func avfBar(avf float64) string {
 		out[i] = '#'
 	}
 	return string(out)
-}
-
-func pickCore(name string) (rarsim.CoreConfig, error) {
-	if name == "baseline" {
-		return rarsim.BaselineConfig(), nil
-	}
-	for _, c := range rarsim.ScaledConfigs() {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	return rarsim.CoreConfig{}, fmt.Errorf("unknown core %q", name)
 }
 
 func check(err error) {

@@ -63,9 +63,9 @@ func TestLedgerAccumulation(t *testing.T) {
 
 func TestLedgerTickAndCum(t *testing.T) {
 	l := NewLedger()
-	l.TickBlocked(false, false)
-	l.TickBlocked(true, false)
-	l.TickBlocked(true, true)
+	l.Advance(false, false, 1)
+	l.Advance(true, false, 1)
+	l.Advance(true, true, 1)
 	hb, fs := l.Cum()
 	if hb != 2 || fs != 1 {
 		t.Errorf("cum = %d,%d want 2,1", hb, fs)
@@ -74,7 +74,7 @@ func TestLedgerTickAndCum(t *testing.T) {
 
 // TestLedgerAdvanceEquivalence pins the bulk-residency contract the stall
 // fast-forward depends on: Advance(hb, fs, n) must leave Cum() exactly
-// where n individual TickBlocked(hb, fs) calls would.
+// where n per-cycle Advance(hb, fs, 1) calls would.
 func TestLedgerAdvanceEquivalence(t *testing.T) {
 	cases := []struct {
 		hb, fs bool
@@ -86,7 +86,7 @@ func TestLedgerAdvanceEquivalence(t *testing.T) {
 	for _, c := range cases {
 		bulk.Advance(c.hb, c.fs, c.n)
 		for i := uint64(0); i < c.n; i++ {
-			tick.TickBlocked(c.hb, c.fs)
+			tick.Advance(c.hb, c.fs, 1)
 		}
 		bhb, bfs := bulk.Cum()
 		thb, tfs := tick.Cum()

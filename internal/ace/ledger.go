@@ -5,17 +5,18 @@ package ace
 // state is un-ACE and is simply never reported.
 //
 // The ledger also owns the two monotone blocked-cycle counters used for
-// Figure 5 attribution. The core calls TickBlocked once per cycle with the
-// current blocking state; windows snapshot Cum() at their start and the
-// core passes the overlap deltas to Add.
+// Figure 5 attribution. The core calls Advance with the current blocking
+// state for every cycle it simulates (n = 1) or skips (n = the skipped
+// width); windows snapshot Cum() at their start and the core passes the
+// overlap deltas to Add.
 type Ledger struct {
 	abc         [NumStructures]uint64 //rarlint:unit bitcycles
 	headBlocked [NumStructures]uint64 //rarlint:unit bitcycles
 	fullStall   [NumStructures]uint64 //rarlint:unit bitcycles
 
-	//rarlint:nscaled blocked-cycle accumulator: Advance adds n where TickBlocked adds 1
+	//rarlint:nscaled blocked-cycle accumulator: Advance adds n for n cycles, 1 per simulated cycle
 	cumHeadBlocked uint64 //rarlint:unit cycles
-	//rarlint:nscaled blocked-cycle accumulator: Advance adds n where TickBlocked adds 1
+	//rarlint:nscaled blocked-cycle accumulator: Advance adds n for n cycles, 1 per simulated cycle
 	cumFullStall uint64 //rarlint:unit cycles
 
 	// Optional timeline bucketing (timeline.go).
@@ -27,20 +28,13 @@ type Ledger struct {
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger { return &Ledger{} }
 
-// TickBlocked advances the blocked-cycle counters for one cycle.
-// headBlocked is true while an LLC-miss load blocks commit at the ROB
-// head; fullStall additionally requires the ROB to be full. fullStall
-// implies headBlocked.
-func (l *Ledger) TickBlocked(headBlocked, fullStall bool) {
-	l.Advance(headBlocked, fullStall, 1)
-}
-
-// Advance bulk-applies n cycles of TickBlocked with a constant blocking
-// state. The core's stall fast-forward uses it to integrate ledger
-// residency over a skipped quiescent window: because the blocking state
-// cannot change while no pipeline event fires, n identical ticks collapse
-// into one addition, and Cum() afterwards is exactly what n TickBlocked
-// calls would have produced.
+// Advance applies n cycles of a constant blocking state to the
+// blocked-cycle counters. headBlocked is true while an LLC-miss load
+// blocks commit at the ROB head; fullStall additionally requires the ROB
+// to be full, and implies headBlocked. The core calls it with n = 1 per
+// simulated cycle, and the stall fast-forward with the width of a skipped
+// quiescent window: the blocking state cannot change while no pipeline
+// event fires, so n identical cycles collapse into one addition.
 func (l *Ledger) Advance(headBlocked, fullStall bool, n uint64) {
 	if headBlocked {
 		l.cumHeadBlocked += n

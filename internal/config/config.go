@@ -4,7 +4,12 @@
 // matrix).
 package config
 
-import "rarsim/internal/mem"
+import (
+	"fmt"
+	"strings"
+
+	"rarsim/internal/mem"
+)
 
 // FUPool describes one class of functional units.
 type FUPool struct {
@@ -114,6 +119,30 @@ func ScaledCores() []Core {
 		c.IntRegs, c.FpRegs = r.rgs, r.rgs
 		c.PRDQ = r.rob
 		out = append(out, c)
+	}
+	return out
+}
+
+// CoreByName looks a core configuration up by name: "baseline" or one of
+// the Table I names of ScaledCores. An unknown name's error lists the
+// valid ones.
+func CoreByName(name string) (Core, error) {
+	if name == "baseline" {
+		return Baseline(), nil
+	}
+	for _, c := range ScaledCores() {
+		if c.Name == name {
+			return c, nil
+		}
+	}
+	return Core{}, fmt.Errorf("unknown core %q (valid: %s)", name, strings.Join(CoreNames(), ", "))
+}
+
+// CoreNames returns the names CoreByName accepts, baseline first.
+func CoreNames() []string {
+	out := []string{"baseline"}
+	for _, c := range ScaledCores() {
+		out = append(out, c.Name)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"strings"
 	"testing"
 
 	"rarsim/internal/mem"
@@ -119,6 +120,28 @@ func TestSchemeByName(t *testing.T) {
 	}
 	if _, err := SchemeByName("nope"); err == nil {
 		t.Error("unknown scheme must error")
+	}
+}
+
+func TestCoreByName(t *testing.T) {
+	names := CoreNames()
+	if len(names) != 1+len(ScaledCores()) || names[0] != "baseline" {
+		t.Fatalf("CoreNames() = %v", names)
+	}
+	for _, name := range names {
+		c, err := CoreByName(name)
+		if err != nil || c.Name != name {
+			t.Errorf("CoreByName(%q) = %v, %v", name, c.Name, err)
+		}
+	}
+	_, err := CoreByName("core-99")
+	if err == nil {
+		t.Fatal("unknown core must error")
+	}
+	for _, want := range []string{`"core-99"`, "baseline", "core-4"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
 	}
 }
 

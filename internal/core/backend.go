@@ -439,7 +439,7 @@ func (c *Core) scheduleCompletion(u *uop) {
 // — identical timing to the scan-based predecessor.
 func (c *Core) migrateOverflow() {
 	kept := c.cwOverflow[:0]
-	min := NoEventCycle
+	min := noEvent
 	for _, e := range c.cwOverflow {
 		if e.doneAt >= c.cycle+cwSize {
 			kept = append(kept, e)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 
 	"rarsim/internal/ace"
 	"rarsim/internal/branch"
@@ -31,7 +33,8 @@ const (
 )
 
 // Core is one simulated out-of-order processor running one workload under
-// one scheme. Create with New, run with Run. A Core is single-use.
+// one scheme. Create with New, run with Run; Lockstep runs several cores
+// together. A Core is single-use.
 type Core struct {
 	cfg    config.Core
 	scheme config.Scheme
@@ -106,7 +109,7 @@ type Core struct {
 	// needs rewinding at a flush or runahead exit.
 	cwBuckets  [cwSize][]waiter
 	cwOverflow []cwEntry //rarlint:quiescent completion-wheel spill: its earliest deadline is covered separately via cwOvMin
-	// cwOvMin is the earliest doneAt in cwOverflow (NoEventCycle when
+	// cwOvMin is the earliest doneAt in cwOverflow (noEvent when
 	// empty); it may go stale-low via squashed entries, which costs a
 	// redundant migration scan, never a missed completion.
 	cwOvMin uint64 //rarlint:unit cycles
@@ -186,13 +189,21 @@ type Core struct {
 
 	// progress increments whenever a stage moves machine state forward
 	// (fetch, dispatch, issue, complete, commit, store drain, mode
-	// transitions). RunWarm consults it to skip the next-event probe on
-	// busy cycles: a cycle that made progress is near-certainly followed
-	// by a busy cycle, so probing it is pure overhead. The guard is a
-	// heuristic with a one-sided failure mode — a missed bump just runs
-	// the probe (status quo), an over-bump costs at most one extra ticked
-	// cycle per stall window — so it can never change results.
-	progress uint64 //rarlint:quiescent watchdog progress latch: consulted by the run loop, never by skip bounds
+	// transitions). Lockstep compares it with progMark to skip the
+	// next-event probe on busy cycles: a cycle that made progress is
+	// near-certainly followed by a busy cycle, so probing it is pure
+	// overhead. The guard is a heuristic with a one-sided failure mode — a
+	// missed bump just runs the probe (status quo), an over-bump costs at
+	// most one extra ticked cycle per stall window — so it can never change
+	// results.
+	progress uint64 //rarlint:quiescent watchdog progress latch: consulted by Lockstep, never by skip bounds
+	progMark uint64 // progress after this core's previous Lockstep step
+
+	// due is the Lockstep cycle at which this core must next be stepped;
+	// until then it is deferred. Zero, as in a new core, means at once,
+	// with no probe after that first step of a run: quiescence is not
+	// known yet.
+	due uint64 //rarlint:unit cycles
 
 	// Stall fast-forward (ff.go): noFF disables the quiescent-cycle skip
 	// (its zero value keeps the skip on); ffSkipped counts cycles advanced
@@ -351,7 +362,7 @@ func NewWithHierarchy(cfg config.Core, scheme config.Scheme, name string, gen tr
 	if b, ok := gen.(trace.BlockSource); ok {
 		c.genBlk = b
 	}
-	c.cwOvMin = NoEventCycle
+	c.cwOvMin = noEvent
 	// Pre-size the completion-wheel buckets out of one contiguous backing
 	// array. Unlike a single flat list, 256 independent slices each chase
 	// their own high-water mark — without preallocation, rare
@@ -397,10 +408,10 @@ func NewWithHierarchy(cfg config.Core, scheme config.Scheme, name string, gen tr
 	return c
 }
 
-// watchdogWindow is the commit-progress deadline: if no instruction commits
-// for this many *ticked* cycles — loop iterations actually simulated, not
-// cycles skipped in bulk by the stall fast-forward — the simulation reports
-// a deadlock. Counting ticks rather than wall cycles keeps the two watchdog
+// watchdogWindow is the commit-progress deadline: if no core commits for
+// this many *ticked* cycles — Lockstep iterations actually simulated, not
+// cycles skipped in bulk by the stall fast-forward — the run reports a
+// deadlock. Counting ticks rather than wall cycles keeps the two watchdog
 // properties independent of fast-forward: a legitimate stall longer than
 // the window (e.g. a pathologically slow DRAM) collapses into a handful of
 // ticks and survives, while a genuine deadlock generates no events, is
@@ -434,63 +445,121 @@ func (c *Core) RunWarm(warmup, measured uint64) (Stats, error) {
 		return Stats{}, fmt.Errorf("core: warmup %d + measured %d instructions past the %d already committed overflows uint64",
 			warmup, measured, base)
 	}
-	c.commitBarrier = total
-	if warmup > 0 {
-		c.commitBarrier = warmTarget
+	c.due = 0 // a new run: its first step is not probed
+	one := [1]*Core{c}
+	if err := Lockstep(one[:], warmTarget); err != nil {
+		return c.s, err
 	}
-	var warm Stats
-	warmTaken := false
-	if warmup == 0 {
-		c.finalizeStats()
-		warm = c.s
-		warmTaken = true
-	}
-	lastCommit := base
-	var ticked, lastCommitTick uint64
-	// progMark trails c.progress by one cycle: when a cycle moved machine
-	// state, the next cycle is near-certainly busy and the next-event probe
-	// is skipped outright. Compute-bound runs make progress almost every
-	// cycle, so they stop paying for the fast-forward they never use; the
-	// first quiescent cycle re-arms the probe. Starting unequal to
-	// c.progress makes the first iteration skip the probe (it cannot know
-	// quiescence yet anyway).
-	progMark := c.progress - 1
-	for c.s.Committed < total {
-		c.Step()
-		if !warmTaken && c.s.Committed >= warmTarget {
-			c.finalizeStats()
-			warm = c.s
-			warmTaken = true
-			c.commitBarrier = total
-		}
-		ticked++
-		if c.s.Committed != lastCommit {
-			lastCommit = c.s.Committed
-			lastCommitTick = ticked
-		} else if ticked-lastCommitTick > watchdogWindow {
-			//rarlint:allow hotalloc fatal deadlock exit, never taken on a healthy run
-			return c.s, fmt.Errorf(
-				"core: deadlock: no commit for %d ticked cycles at cycle %d (core=%s bench=%s scheme=%s rob=%d iq=%d frontQ=%d mode=%d ffSkipped=%d)",
-				watchdogWindow, c.cycle, c.s.CoreName, c.s.Benchmark, c.s.Scheme,
-				c.robCount, c.iqLive, c.frontQ.len(), c.mode, c.ffSkipped)
-		}
-		if !c.noFF && c.s.Committed < total {
-			if c.progress == progMark {
-				c.skipStall()
-			} else {
-				progMark = c.progress
-			}
-		}
+	c.finalizeStats()
+	warm := c.s
+	if err := Lockstep(one[:], total); err != nil {
+		return c.s, err
 	}
 	c.finalizeStats()
 	return c.s.sub(warm), nil
 }
 
-// Step advances the core by exactly one cycle; it is the only copy of the
-// per-cycle stage sequence. Run/RunWarm and drain call it in their loops;
-// multicore systems interleave Step calls across cores so shared-LLC and
-// DRAM contention resolves in lockstep.
-func (c *Core) Step() {
+// Lockstep is the run loop: it steps cores in slice order, one cycle each
+// per lockstep cycle, until each has committed target instructions in
+// total, and freezes each core as it gets there (a frozen core issues no
+// further memory traffic). Cores sharing an LLC and DRAM therefore see
+// contention resolve exactly as in hardware lockstep; a single core is
+// the one-element case. The cores start in step (at the same cycle).
+//
+// The stall fast-forward (ff.go) defers each core on its own: after a
+// cycle in which the core made no progress, its due cycle becomes the
+// next cycle at which it can act (dueCycle). Until then it is not stepped
+// at all, and the deferred stretch is integrated in one skipTo when it
+// comes due. When every live core is deferred, the lockstep clock jumps
+// (jumpClock). Cores couple only through their shared-LLC/DRAM accesses
+// and a deferred core makes none, so every step sees the same shared
+// state, at the same cycle and in the same core order, as in the
+// cycle-by-cycle run: results are byte-identical (DESIGN.md §7). Per-core
+// deferral is what makes the skip pay on a chip, where co-runners' stall
+// windows rarely line up. A core with no pending event at all keeps
+// ticking, so the watchdog sees the deadlock, and a core whose
+// fast-forward is off (SetStallFastForward) steps every cycle.
+//
+// It returns an error naming every unfinished core when no core commits
+// for watchdogWindow ticked lockstep cycles.
+//
+//rarlint:hot
+func Lockstep(cores []*Core, target uint64) error {
+	var now uint64
+	live := 0
+	for _, c := range cores {
+		c.commitBarrier = target
+		now = max(now, c.cycle)
+		if c.s.Committed < target {
+			live++
+		}
+	}
+	var ticked, lastCommit uint64
+	var next uint64 // earliest due cycle of the live cores; none before the first cycle
+	for live > 0 {
+		if next > now+1 {
+			now = jumpClock(cores, now, target, next)
+		}
+		now++
+		next = noEvent
+		committed := false
+		for _, c := range cores {
+			if c.s.Committed >= target {
+				continue // finished
+			}
+			if c.due > now {
+				next = min(next, c.due)
+				continue // deferred: cannot act this cycle
+			}
+			if c.cycle+1 < now {
+				c.skipTo(now - 1)
+			}
+			before := c.s.Committed
+			c.step()
+			if c.s.Committed != before {
+				committed = true
+			}
+			if c.due == 0 || c.noFF || c.progress != c.progMark {
+				c.progMark = c.progress
+				c.due = now + 1 // first step of a run, busy, or fast-forward off
+			} else if c.due = c.dueCycle(); c.due == noEvent {
+				c.due = now + 1 // no pending event: tick on for the watchdog
+			}
+			if c.s.Committed >= target {
+				live--
+			} else {
+				next = min(next, c.due)
+			}
+		}
+		ticked++
+		if committed {
+			lastCommit = ticked
+		} else if ticked-lastCommit > watchdogWindow {
+			//rarlint:allow hotalloc fatal deadlock exit, never taken on a healthy run
+			return deadlock(cores, target, now)
+		}
+	}
+	return nil
+}
+
+// deadlock reports a Lockstep run that ticked watchdogWindow cycles
+// without a commit, naming every core still short of target.
+func deadlock(cores []*Core, target, now uint64) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "core: deadlock: no commit for %d ticked cycles at cycle %d", watchdogWindow, now)
+	for i, c := range cores {
+		if c.s.Committed < target {
+			fmt.Fprintf(&b, "; core %d (core=%s bench=%s scheme=%s committed=%d rob=%d iq=%d frontQ=%d mode=%d ffSkipped=%d)",
+				i, c.s.CoreName, c.s.Benchmark, c.s.Scheme, c.s.Committed,
+				c.robCount, c.iqLive, c.frontQ.len(), c.mode, c.ffSkipped)
+		}
+	}
+	return errors.New(b.String())
+}
+
+// step advances the core by exactly one cycle; it is the only copy of the
+// per-cycle stage sequence. Lockstep and drain call it in their loops.
+func (c *Core) step() {
 	c.cycle++
 	c.ledger.SetCycle(c.cycle)
 	if c.injNext < len(c.injSamples) {
@@ -514,22 +583,12 @@ func (c *Core) Step() {
 // Committed returns the number of instructions committed so far.
 func (c *Core) Committed() uint64 { return c.s.Committed }
 
-// Progress returns a counter that advances whenever any pipeline stage
-// moves machine state forward. A chip-level driver can compare successive
-// values to tell a busy core (progress moved — certainly steppable next
-// cycle) from a quiescent one worth probing with NextEventCycle.
-func (c *Core) Progress() uint64 { return c.progress }
-
 // Snapshot finalises and returns the current statistics without ending
 // the simulation.
 func (c *Core) Snapshot() Stats {
 	c.finalizeStats()
 	return c.s
 }
-
-// SetCommitLimit caps further commits at n total committed instructions
-// (0 = unlimited). Multicore drivers use it to stop finished cores.
-func (c *Core) SetCommitLimit(n uint64) { c.commitBarrier = n }
 
 // wholeRunStatsFields lists the numeric Stats fields that describe the
 // whole run (or its static configuration) rather than accumulating
@@ -588,23 +647,12 @@ func (s Stats) sub(w Stats) Stats {
 	return out
 }
 
-// tickBlocked advances the Figure 5 attribution counters and the ROB-head
-// countdown timer state.
+// tickBlocked runs one cycle of the blocked-cycle accounting and tracks
+// the ROB head for the countdown timers: headSince restarts whenever a new
+// uop reaches the head.
 func (c *Core) tickBlocked() {
+	c.accountBlocked(1)
 	head := c.robHeadUop()
-	headBlocked := head != nil && head.isLoad() && head.state == uopIssued && head.longLat
-	fullStall := headBlocked && c.robCount == c.cfg.ROB
-	c.ledger.TickBlocked(headBlocked, fullStall)
-	if headBlocked {
-		c.s.HeadBlockedCycles++
-	}
-	if fullStall {
-		c.s.FullStallCycles++
-	}
-	if c.mode == modeRunahead {
-		c.s.RunaheadCycles++
-	}
-
 	if head == nil {
 		c.headSeq, c.headSince = 0, c.cycle
 		return
@@ -612,6 +660,27 @@ func (c *Core) tickBlocked() {
 	if head.seq != c.headSeq {
 		c.headSeq = head.seq
 		c.headSince = c.cycle
+	}
+}
+
+// accountBlocked advances the per-cycle accounting of the current blocking
+// state by n cycles: the Figure 5 attribution counters, the ACE ledger's
+// blocked-cycle integrals and the RunaheadCycles meter. tickBlocked calls
+// it with n = 1 every cycle; bulkAdvance with the width of a skipped
+// window, over which the state is frozen.
+func (c *Core) accountBlocked(n uint64) {
+	head := c.robHeadUop()
+	headBlocked := head != nil && head.isLoad() && head.state == uopIssued && head.longLat
+	fullStall := headBlocked && c.robCount == c.cfg.ROB
+	c.ledger.Advance(headBlocked, fullStall, n)
+	if headBlocked {
+		c.s.HeadBlockedCycles += n
+	}
+	if fullStall {
+		c.s.FullStallCycles += n
+	}
+	if c.mode == modeRunahead {
+		c.s.RunaheadCycles += n
 	}
 }
 

@@ -32,33 +32,27 @@ import "fmt"
 //     work a quiescent cycle performs is tickBlocked: the Figure 5
 //     attribution counters and the ACE ledger's cumulative blocked-cycle
 //     counters advance by a per-cycle amount fully determined by the
-//     (frozen) blocking state, so n cycles collapse into one bulk
-//     ledger.Advance plus n-scaled counter additions. Ledger residency
-//     windows (ace.Ledger.Add) and timeline buckets are only written at
-//     commit, and nothing commits inside a skipped window.
+//     (frozen) blocking state, so n cycles collapse into one
+//     accountBlocked(n), the call tickBlocked makes with n = 1. Ledger
+//     residency windows (ace.Ledger.Add) and timeline buckets are only
+//     written at commit, and nothing commits inside a skipped window.
 //  3. Exact-cycle obligations clamp the skip. Invariant audits fire every
 //     auditEvery cycles and fault-injection samples strike at a precise
 //     cycle; the skip never jumps past either — it lands one cycle short
 //     so the normal loop executes them on their exact cycle.
 //
-// The skip runs inside Run/RunWarm; Step itself is never fast-forwarded: a
-// single Step call cannot know whether skipping is safe for its caller.
-// Instead the multicore driver lifts the same machinery to chip level
-// through the exported NextEventCycle/SkipTo pair: a core whose next event
-// lies in the future makes no shared-LLC/DRAM access until then, so the
-// chip loop defers it — not stepping it at all while quiescent and
-// integrating the deferred stretch in one SkipTo when its event comes due,
-// while busy co-runners keep stepping at real chip cycles (see
-// internal/multicore and DESIGN.md §7).
+// Lockstep (core.go) is the one driver of the skip, for a single core and
+// a chip alike: after a cycle in which a core made no progress it reads the
+// core's dueCycle and defers the core until then; skipTo integrates the
+// deferred stretch when the core comes due, and jumpClock moves the
+// lockstep clock when every live core is deferred. step itself never
+// skips.
 
-// noEvent marks "no pending event" in next-event computations.
+// noEvent marks "no pending event" in next-event computations. A core with
+// no pending event can never make progress again; Lockstep keeps ticking
+// it rather than skipping toward noEvent, so the deadlock watchdog reports
+// meaningful cycle numbers.
 const noEvent = ^uint64(0)
-
-// NoEventCycle is the exported sentinel NextEventCycle returns when the
-// core has no pending event at all — the machine can never make progress
-// again. Callers must not skip toward it: leaving the plain loop ticking
-// lets the deadlock watchdog report meaningful cycle numbers.
-const NoEventCycle = noEvent
 
 // SetStallFastForward enables or disables the stall fast-forward
 // (default: enabled). Disabling forces the classic cycle-by-cycle loop,
@@ -231,92 +225,75 @@ func (c *Core) clampObligations(target uint64) uint64 {
 	return target
 }
 
-// NextEventCycle returns the earliest future cycle at which this core must
+// dueCycle returns the earliest future cycle at which this core must
 // execute a normal simulated cycle: the earliest cycle any pipeline stage
 // can change machine state (nextEventCycle), lowered to the core's
 // exact-cycle obligations (audit multiples, pending fault-injection
-// strikes). A return of CycleCount()+1 means the core is busy — something
-// acts on the very next cycle and nothing can be skipped; NoEventCycle
-// means no event is pending at all. Like nextEventCycle it is only
-// meaningful at the bottom of a simulated cycle, after every stage has
-// run — which is exactly when the multicore epoch driver calls it.
+// strikes). A return of cycle+1 means the core is busy; noEvent means no
+// event is pending at all. Like nextEventCycle it is only meaningful at the
+// bottom of a simulated cycle, after every stage has run.
 //
 //rarlint:pure
 //rarlint:hot
-func (c *Core) NextEventCycle() uint64 {
+func (c *Core) dueCycle() uint64 {
 	target := c.nextEventCycle()
 	if target == noEvent {
-		return NoEventCycle
+		return noEvent
 	}
 	return c.clampObligations(target)
 }
 
-// SkipTo bulk-advances a quiescent core to cycle target without simulating
-// the intervening cycles, scaling the per-cycle accounting (the Figure 5
-// attribution counters, the RunaheadCycles meter and the ACE ledger's
-// blocked-cycle integrals) by the width of the window. The contract is the
-// fast-forward equivalence contract: target must lie strictly before the
-// core's next event — SkipTo re-derives NextEventCycle and panics on a
-// violation rather than silently corrupting the run, which is what makes
-// the exported surface safe for an external driver that computed its skip
-// window from many cores at once. Skipping to the current cycle is a no-op;
-// skipping backwards is always a bug.
+// skipTo bulk-advances a quiescent core from its current cycle to the later
+// cycle target without simulating the intervening cycles. The contract is
+// the fast-forward equivalence contract: target must lie strictly before
+// the core's due cycle. skipTo re-derives dueCycle and panics on a
+// violation rather than silently corrupting the run, so a driver bug that
+// computed a skip window from stale or foreign state cannot go unnoticed.
 //
 //rarlint:hot
-func (c *Core) SkipTo(target uint64) {
-	if target <= c.cycle {
-		if target < c.cycle {
-			//rarlint:allow hotalloc contract-violation panic, never taken on a healthy run
-			panic(fmt.Sprintf("core: SkipTo(%d) would move cycle %d backwards", target, c.cycle))
-		}
-		return
-	}
-	if ev := c.NextEventCycle(); target >= ev {
+func (c *Core) skipTo(target uint64) {
+	if ev := c.dueCycle(); target >= ev {
 		//rarlint:allow hotalloc contract-violation panic, never taken on a healthy run
-		panic(fmt.Sprintf("core: SkipTo(%d) would jump past the next event at %d (cycle %d)", target, ev, c.cycle))
+		panic(fmt.Sprintf("core: skipTo(%d) would jump past the next event at %d (cycle %d)", target, ev, c.cycle))
 	}
 	c.bulkAdvance(target - c.cycle)
 }
 
-// skipStall bulk-advances the clock to just before the next event when the
-// core is quiescent; the loop's next Step then executes the event cycle
-// itself through the normal stages. It must run at the bottom of a
-// Run/RunWarm iteration, after every stage of the current cycle has
-// executed. A core with no pending event at all is never skipped: the
-// plain loop keeps ticking so the watchdog reports the deadlock with
-// meaningful cycle numbers.
-func (c *Core) skipStall() {
-	if t := c.NextEventCycle(); t != NoEventCycle && t > c.cycle+1 {
-		c.bulkAdvance(t - 1 - c.cycle)
+// jumpClock returns the lockstep clock for the cycle before due, the
+// earliest due cycle of the live cores (those short of target), when every
+// live core is deferred past the next cycle. A deferred core's due cycle
+// already lies at or below its own earliest outstanding L1D fill
+// (nextEventCycle's defensive bound; a deferred core makes no new
+// accesses). Finished cores are no longer probed, so the jump is lowered
+// below their outstanding fills too: no memory-side return time can land
+// inside a jumped stretch.
+//
+//rarlint:hot
+func jumpClock(cores []*Core, now, target, due uint64) uint64 {
+	for _, c := range cores {
+		if c.s.Committed >= target {
+			if fill, ok := c.hier.NextFillAt(now); ok {
+				due = min(due, fill)
+			}
+		}
 	}
+	return max(now, due-1)
 }
 
 // bulkAdvance moves the clock n cycles forward in one step. The skipped
 // cycles would each have run tickBlocked with exactly the current (frozen)
-// blocking state, so the attribution counters and the ACE ledger integrate
-// in bulk. Callers guarantee quiescence over the whole window.
+// blocking state, so the accounting integrates in one accountBlocked(n).
+// Callers guarantee quiescence over the whole window.
 //
 //rarlint:hot
 func (c *Core) bulkAdvance(n uint64) {
 	first := c.cycle + 1
-	head := c.robHeadUop()
-	headBlocked := head != nil && head.isLoad() && head.state == uopIssued && head.longLat
-	fullStall := headBlocked && c.robCount == c.cfg.ROB
-	c.ledger.Advance(headBlocked, fullStall, n)
-	if headBlocked {
-		c.s.HeadBlockedCycles += n
-	}
-	if fullStall {
-		c.s.FullStallCycles += n
-	}
-	if c.mode == modeRunahead {
-		c.s.RunaheadCycles += n
-	}
+	c.accountBlocked(n)
 	// Replicate tickBlocked's head-tracking for the skipped window: if the
 	// head changed during the current cycle, the first skipped tick would
 	// have restarted the countdown timer (modeNextEvent already used that
 	// restarted base when it computed the skip target).
-	if head == nil {
+	if head := c.robHeadUop(); head == nil {
 		c.headSeq, c.headSince = 0, c.cycle+n
 	} else if head.seq != c.headSeq {
 		c.headSeq, c.headSince = head.seq, first

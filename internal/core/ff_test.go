@@ -7,6 +7,7 @@ import (
 
 	"rarsim/internal/ace"
 	"rarsim/internal/config"
+	"rarsim/internal/mem"
 	"rarsim/internal/trace"
 )
 
@@ -219,5 +220,35 @@ func TestWatchdogCatchesDeadlock(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("want a deadlock report, got: %v", err)
+	}
+}
+
+// TestLockstepDeadlockNamesLiveCores: single-core and chip runs share one
+// watchdog, so its report must read as both a deadlock and a missing
+// commit, and name each core still short of the target — here the
+// wedged co-runner (zero-entry load queue) — but not the core that
+// finished.
+func TestLockstepDeadlockNamesLiveCores(t *testing.T) {
+	b, err := trace.ByName("libquantum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozenCfg := config.Baseline()
+	frozenCfg.LQ = 0
+	shared := mem.NewSharedLLC(frozenCfg.Mem)
+	mk := func(cfg config.Core, seed uint64) *Core {
+		return NewWithHierarchy(cfg, config.OoO, b.Name, trace.New(b, seed), mem.NewHierarchyWithShared(cfg.Mem, shared))
+	}
+	err = Lockstep([]*Core{mk(config.Baseline(), 42), mk(frozenCfg, 43)}, 2_000)
+	if err == nil {
+		t.Fatal("a wedged co-runner must trip the watchdog")
+	}
+	for _, want := range []string{"deadlock", "no commit", "core 1 (", "bench=libquantum"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("report %q lacks %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "core 0 (") {
+		t.Errorf("report %q names core 0, which finished", err)
 	}
 }

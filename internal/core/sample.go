@@ -82,7 +82,7 @@ func (c *Core) drain() error {
 			return fmt.Errorf("core: drain did not converge (rob=%d frontQ=%d mode=%d)",
 				c.robCount, c.frontQ.len(), c.mode)
 		}
-		c.Step()
+		c.step()
 	}
 	// Anything still buffered but unfetched stays for the next phase.
 	return nil
@@ -118,38 +118,9 @@ func (c *Core) RunSampled(samples int, ffInstructions, warmup, measured uint64) 
 	return agg, nil
 }
 
-// add accumulates w's counters into s.
+// add accumulates w's counters into s: subtracting the counter-wise
+// negation of w (Stats{}.sub(w)) is exact in uint64 arithmetic, so add
+// shares sub's field list and, like sub, keeps s's whole-run fields.
 func (s Stats) add(w Stats) Stats {
-	s.Cycles += w.Cycles
-	s.Committed += w.Committed
-	s.CommittedLoads += w.CommittedLoads
-	s.CommittedStores += w.CommittedStores
-	s.CommittedBranches += w.CommittedBranches
-	s.Mispredicts += w.Mispredicts
-	s.WrongPathFetched += w.WrongPathFetched
-	s.RunaheadEntries += w.RunaheadEntries
-	s.RunaheadCycles += w.RunaheadCycles
-	s.RunaheadExecuted += w.RunaheadExecuted
-	s.RunaheadDropped += w.RunaheadDropped
-	s.Flushes += w.Flushes
-	s.TotalFetched += w.TotalFetched
-	s.TotalDispatched += w.TotalDispatched
-	s.TotalIssued += w.TotalIssued
-	s.HeadBlockedCycles += w.HeadBlockedCycles
-	s.FullStallCycles += w.FullStallCycles
-	for i := range s.ABC {
-		s.ABC[i] += w.ABC[i]
-	}
-	s.TotalABC += w.TotalABC
-	s.HeadBlockedABC += w.HeadBlockedABC
-	s.FullStallABC += w.FullStallABC
-	s.Mem.DemandLoads += w.Mem.DemandLoads
-	s.Mem.DemandLLCMisses += w.Mem.DemandLLCMisses
-	s.Mem.LLCMissCycles += w.Mem.LLCMissCycles
-	s.Mem.LLCBusyCycles += w.Mem.LLCBusyCycles
-	s.Mem.DRAMReads += w.Mem.DRAMReads
-	s.Mem.DRAMWrites += w.Mem.DRAMWrites
-	s.Mem.PrefetchIssued += w.Mem.PrefetchIssued
-	s.Mem.MSHRFullStalls += w.Mem.MSHRFullStalls
-	return s
+	return s.sub(Stats{}.sub(w))
 }

@@ -57,33 +57,43 @@ func checkNumeric(t *testing.T, v reflect.Value, path string, f func(path string
 // and the ABC array — except the fields explicitly exempted in
 // wholeRunStatsFields. A counter added to Stats without a matching line in
 // sub shows up here as a 100 that should have been 99, instead of silently
-// leaking warmup into every measured result.
+// leaking warmup into every measured result. Stats.add (RunSampled's
+// aggregation) is defined through sub, so it must add exactly the same
+// fields and keep the same whole-run fields.
 func TestStatsSubCoversAllFields(t *testing.T) {
 	var s, w Stats
 	fillNumeric(reflect.ValueOf(&s).Elem(), 100)
 	fillNumeric(reflect.ValueOf(&w).Elem(), 1)
-	diff := s.sub(w)
-
-	seen := map[string]bool{}
-	checkNumeric(t, reflect.ValueOf(diff), "", func(path string, got uint64) {
-		leaf := path
-		if i := lastDot(path); i >= 0 {
-			leaf = path[i+1:]
-		}
-		if wholeRunStatsFields[leaf] {
-			seen[leaf] = true
-			if got != 100 {
-				t.Errorf("%s: allowlisted as whole-run but sub changed it: got %d, want 100", path, got)
+	for _, tc := range []struct {
+		op   string
+		got  Stats
+		want uint64
+	}{
+		{"sub", s.sub(w), 99},
+		{"add", s.add(w), 101},
+	} {
+		seen := map[string]bool{}
+		checkNumeric(t, reflect.ValueOf(tc.got), "", func(path string, got uint64) {
+			leaf := path
+			if i := lastDot(path); i >= 0 {
+				leaf = path[i+1:]
 			}
-			return
-		}
-		if got != 99 {
-			t.Errorf("%s: not subtracted by Stats.sub (got %d, want 99) — subtract it or add it to wholeRunStatsFields", path, got)
-		}
-	})
-	for name := range wholeRunStatsFields {
-		if !seen[name] {
-			t.Errorf("wholeRunStatsFields lists %q but Stats has no such numeric field", name)
+			if wholeRunStatsFields[leaf] {
+				seen[leaf] = true
+				if got != 100 {
+					t.Errorf("%s: allowlisted as whole-run but %s changed it: got %d, want 100", path, tc.op, got)
+				}
+				return
+			}
+			if got != tc.want {
+				t.Errorf("%s: not covered by Stats.%s (got %d, want %d) — subtract it in sub or add it to wholeRunStatsFields",
+					path, tc.op, got, tc.want)
+			}
+		})
+		for name := range wholeRunStatsFields {
+			if !seen[name] {
+				t.Errorf("wholeRunStatsFields lists %q but Stats has no such numeric field", name)
+			}
 		}
 	}
 }

@@ -8,9 +8,9 @@ package lint
 // silent divergence that today only surfaces if an A/B matrix happens to
 // exercise it. The analyzer computes, over the static call graph,
 //
-//	B = fields written by the bulk-advance closures
-//	    (SkipTo/skipStall/bulkAdvance at core level, skipQuietGap at
-//	    chip level, following helpers like the ledger's Advance),
+//	B = fields written by the bulk-advance closures (skipTo and
+//	    bulkAdvance, following helpers like accountBlocked and the
+//	    ledger's Advance),
 //	T = fields written by the per-cycle blocked path (tickBlocked),
 //
 // and checks both against the *declared* n-scalable set: every field
@@ -35,10 +35,8 @@ import (
 
 // skipBulkNames seed the bulk-advance write set B.
 var skipBulkNames = map[string]bool{
-	"SkipTo":       true,
-	"skipStall":    true,
-	"bulkAdvance":  true,
-	"skipQuietGap": true,
+	"skipTo":      true,
+	"bulkAdvance": true,
 }
 
 // skipTickNames seed the per-cycle blocked-path write set T.
@@ -62,7 +60,7 @@ func skipSet(m *Module) []Diagnostic {
 	}
 
 	// Audited packages: wherever the bulk or per-cycle closures live or
-	// reach (core, chip, and the ACE ledger they both advance).
+	// reach (the core and the ACE ledger they both advance).
 	pkgs := bulkPkgs
 	for p := range tickPkgs {
 		pkgs[p] = true

@@ -237,18 +237,13 @@ func TestChipWatchdogFrozenCoRunner(t *testing.T) {
 		t.Fatal(err)
 	}
 	shared := mem.NewSharedLLC(healthyCfg.Mem)
-	mk := func(cfg config.Core, seed uint64) (*core.Core, *mem.Hierarchy) {
+	mk := func(cfg config.Core, seed uint64) *core.Core {
 		h := mem.NewHierarchyWithShared(cfg.Mem, shared)
-		return core.NewWithHierarchy(cfg, config.OoO, b.Name, trace.New(b, seed), h), h
+		return core.NewWithHierarchy(cfg, config.OoO, b.Name, trace.New(b, seed), h)
 	}
-	healthy, h1 := mk(healthyCfg, 42)
-	frozen, h2 := mk(frozenCfg, 43)
-	sys := &System{
-		cores:    []*core.Core{healthy, frozen},
-		hiers:    []*mem.Hierarchy{h1, h2},
-		shared:   shared,
-		watchdog: 20_000,
-	}
+	healthy := mk(healthyCfg, 42)
+	frozen := mk(frozenCfg, 43)
+	sys := &System{cores: []*core.Core{healthy, frozen}}
 	_, err = sys.Run(2_000)
 	if err == nil {
 		t.Fatal("frozen co-runner must trip the chip watchdog")

@@ -159,9 +159,11 @@ func TestChipRelZeroDenominators(t *testing.T) {
 	}
 }
 
-// TestOneCoreChipMatchesRun pins the seam between the two drivers of
-// Core.Step: a one-core chip is the single-core model, so System.Run must
-// reproduce Core.Run field for field, with the fast-forward on and off on
+// TestOneCoreChipMatchesRun pins the seam between a private and a
+// shared-LLC memory hierarchy: Core.Run and System.Run drive the same
+// core.Lockstep loop, so a one-core chip, whose core sees the LLC and DRAM
+// through mem.NewHierarchyWithShared, must reproduce Core.Run on a private
+// mem.NewHierarchy field for field, with the fast-forward on and off on
 // both sides, and with invariant audits armed on both sides.
 func TestOneCoreChipMatchesRun(t *testing.T) {
 	const n = 20_000

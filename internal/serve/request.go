@@ -116,7 +116,7 @@ func resolve(req MatrixRequest) (*matrixSpec, error) {
 		spec.cores = []config.Core{config.Baseline()}
 	}
 	for _, name := range req.Cores {
-		c, err := coreByName(name)
+		c, err := config.CoreByName(name)
 		if err != nil {
 			return nil, err
 		}
@@ -191,28 +191,6 @@ func (spec *matrixSpec) cells(rs *sim.ResultSet) ([]CellResult, error) {
 		})
 	}
 	return out, nil
-}
-
-// coreByName maps a core configuration name the way cmd/rarsim does:
-// "baseline" plus the four Table I scaling configurations.
-func coreByName(name string) (config.Core, error) {
-	if name == "baseline" {
-		return config.Baseline(), nil
-	}
-	for _, c := range config.ScaledCores() {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	return config.Core{}, fmt.Errorf("unknown core %q (valid: %s)", name, strings.Join(coreNames(), ", "))
-}
-
-func coreNames() []string {
-	out := []string{"baseline"}
-	for _, c := range config.ScaledCores() {
-		out = append(out, c.Name)
-	}
-	return out
 }
 
 func schemeNames() []string {

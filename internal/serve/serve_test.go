@@ -231,8 +231,12 @@ func TestValidation(t *testing.T) {
 	}
 	req = testRequest()
 	req.Cores = []string{"core-99"}
-	if status, _, _ = post(t, ts.URL+"/matrix", req, nil); status != http.StatusBadRequest {
+	status, _, body = post(t, ts.URL+"/matrix", req, nil)
+	if status != http.StatusBadRequest {
 		t.Errorf("unknown core: status %d", status)
+	}
+	if !bytes.Contains(body, []byte("core-99")) || !bytes.Contains(body, []byte("baseline")) {
+		t.Errorf("error %s does not name the bad core and the valid ones", body)
 	}
 	// The default warmup (instructions/5) would wrap the cell's total.
 	req = testRequest()

@@ -204,6 +204,13 @@ func ReadTrace(r io.Reader) (*FileSource, error) {
 		in.Src2 = isa.Reg(rec[27])
 		in.Dest = isa.Reg(rec[28])
 		in.Size = rec[29]
+		// isa.Inst's contract: no register result on stores, branches and
+		// NOPs. The pipeline relies on it, and a record breaking it can
+		// wedge the core.
+		if in.Dest != isa.NoReg && (in.Class == isa.Store || in.Class == isa.Branch || in.Class == isa.Nop) {
+			return nil, fmt.Errorf("trace: record %d (pc %#x) is a %s with destination register %d; stores, branches and NOPs must have none",
+				i, in.PC, in.Class, rec[28])
+		}
 		fs.insts = append(fs.insts, in)
 	}
 	fs.wp = newWpSynth(wpSeed, wpBase)

@@ -220,8 +220,8 @@ type ChipWorkload = multicore.Workload
 
 // NewChip builds a multicore system: one core per workload, private
 // L1/L2/MSHRs, shared LLC and DRAM (the paper's §VI-E deployment). Cores
-// step in lockstep so contention is modelled; the chip-level stall
-// fast-forward defers provably quiescent cores for wall-clock speed
+// step in lockstep so contention is modelled; the stall fast-forward
+// defers provably quiescent cores for wall-clock speed
 // without changing results (SetStallFastForward(false) runs the
 // cycle-by-cycle reference loop instead).
 func NewChip(cfg CoreConfig, loads []ChipWorkload, seed uint64) (*multicore.System, error) {
