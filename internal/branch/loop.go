@@ -37,15 +37,13 @@ func (lp *loopPredictor) lookup(pc uint64) (idx int, hit bool) {
 // learned trip count is reached.
 func (lp *loopPredictor) predict(pc uint64, info *Info) (bool, bool) {
 	idx, hit := lp.lookup(pc)
-	info.loopIdx = idx
+	info.loopIdx = uint8(idx)
 	info.loopHit = hit
 	if !hit {
 		return false, false
 	}
 	e := &lp.entries[idx]
-	pred := e.currentIt+1 < e.tripCount
-	info.loopPred = pred
-	return pred, e.confidence >= confThresh
+	return e.currentIt+1 < e.tripCount, e.confidence >= confThresh
 }
 
 // update trains the loop predictor with a committed outcome.

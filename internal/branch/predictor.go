@@ -10,7 +10,44 @@ const (
 	scThresh = 5
 )
 
-var scHistLens = []int{8, 21}
+// scHistLens are the corrector tables' history lengths. Both fit in the
+// recent-64 mirror.
+var scHistLens = [scTables]int{8, 21}
+
+// scFolds holds the corrector's history folds byte by byte:
+// scFolds[t][k][v] is table t's fold of the history whose byte k is v and
+// whose other bits are zero. The fold is linear over GF(2) (shifts and
+// XORs only), so the fold of any history is the XOR of its three bytes'
+// entries, bits past the table's length contributing nothing. Three loads
+// replace a serial loop of up to 21 dependent steps on every prediction.
+var scFolds = func() (f [scTables][3][256]uint16) {
+	for t := range f {
+		for k := range f[t] {
+			for v := range f[t][k] {
+				f[t][k][v] = uint16(scFoldSerial(uint64(v)<<(8*k), scHistLens[t]))
+			}
+		}
+	}
+	return f
+}()
+
+// scFoldSerial folds the newest n bits of history r (bit 0 = most recent
+// outcome) down to logSC bits, one outcome per step.
+func scFoldSerial(r uint64, n int) uint32 {
+	var fold uint32
+	for d := n; d > 0; d-- {
+		fold = (fold << 1) | uint32(r&1)
+		fold ^= fold >> logSC
+		r >>= 1
+	}
+	return fold & (1<<logSC - 1)
+}
+
+// scFold returns corrector table t's fold of the history mirror r.
+func scFold(r uint64, t int) uint32 {
+	f := &scFolds[t]
+	return uint32(f[0][uint8(r)] ^ f[1][uint8(r>>8)] ^ f[2][uint8(r>>16)])
+}
 
 // Predictor is the core-facing branch direction predictor. It is not safe
 // for concurrent use; each simulated core owns one.
@@ -58,9 +95,10 @@ func (p *Predictor) PredictNoShift(pc uint64) (bool, Info) {
 	// correction costs more than it saves (the "SC" of TAGE-SC-L is
 	// similarly confidence-gated).
 	var sum int32
+	r := p.hist().recent
 	for i := 0; i < scTables; i++ {
-		idx := p.scIndex(pc, i)
-		info.scIdx[i] = idx
+		idx := (uint32(pc>>2) ^ scFold(r, i) ^ uint32(i)<<5) & (1<<logSC - 1)
+		info.scIdx[i] = uint16(idx)
 		sum += int32(p.sc[i][idx])
 	}
 	if pred {
@@ -68,13 +106,10 @@ func (p *Predictor) PredictNoShift(pc uint64) (bool, Info) {
 	} else {
 		sum -= 2
 	}
-	info.scSum = sum
 	if p.tageWeak(&info) {
 		if sum >= scThresh {
-			info.scUsed = !pred
 			pred = true
 		} else if sum <= -scThresh {
-			info.scUsed = pred
 			pred = false
 		}
 	}
@@ -84,14 +119,13 @@ func (p *Predictor) PredictNoShift(pc uint64) (bool, Info) {
 		pred = lpPred
 	}
 
-	info.PredTaken = pred
 	return pred, info
 }
 
 // ShiftHistory speculatively shifts a prediction made by PredictNoShift
 // into the global history and counts the prediction.
 func (p *Predictor) ShiftHistory(pred bool, pc uint64) {
-	p.hist().shift(pred, pc, historyLens)
+	p.hist().shift(pred, pc)
 	p.predictions++
 }
 
@@ -105,21 +139,6 @@ func (p *Predictor) tageWeak(info *Info) bool {
 	}
 	c := p.tage.tables[info.provider][info.idx[info.provider]].ctr
 	return c >= -2 && c <= 1
-}
-
-func (p *Predictor) scIndex(pc uint64, table int) uint32 {
-	// The corrector's history lengths all fit inside the recent-64 mirror,
-	// so the fold walks a register instead of ring lookups per bit. The
-	// recurrence itself is serial by construction (each step folds the
-	// running hash), but each step is now two shifts and an or.
-	r := p.hist().recent
-	var fold uint32
-	for d := scHistLens[table]; d > 0; d-- {
-		fold = (fold << 1) | uint32(r&1)
-		fold ^= fold >> logSC
-		r >>= 1
-	}
-	return (uint32(pc>>2) ^ fold ^ uint32(table)<<5) & ((1 << logSC) - 1)
 }
 
 // Update trains all components with the committed outcome of the branch at
@@ -142,16 +161,16 @@ func (p *Predictor) Update(pc uint64, taken bool, info Info) {
 
 // Snapshot captures the speculative history state. The core takes one
 // before each predicted branch so a squash can rewind precisely.
-func (p *Predictor) Snapshot() Snapshot { return p.hist().snapshot() }
+func (p *Predictor) Snapshot() Snapshot { return Snapshot{*p.hist()} }
 
 // Restore rewinds the speculative history to s and then shifts in the now
 // known outcome of the mispredicted branch (corrected=true when the squash
 // is a branch misprediction repair; for a plain rewind — e.g. a runahead
 // exit refetch — pass shiftOutcome=false).
 func (p *Predictor) Restore(s Snapshot, shiftOutcome bool, pc uint64, taken bool) {
-	p.hist().restore(s)
+	*p.hist() = s.h
 	if shiftOutcome {
-		p.hist().shift(taken, pc, historyLens)
+		p.hist().shift(taken, pc)
 	}
 }
 

@@ -17,7 +17,7 @@ const (
 )
 
 // historyLens are the geometric history lengths of the tagged tables.
-var historyLens = []int{4, 9, 18, 36, 72, 144}
+var historyLens = [nTables]int{4, 9, 18, 36, 72, 144}
 
 type taggedEntry struct {
 	ctr int8 // signed direction counter
@@ -25,24 +25,20 @@ type taggedEntry struct {
 	u   uint8 // usefulness
 }
 
-// Info carries the per-prediction provider state from Predict to Update.
-// The core stores it alongside the in-flight branch (in the ROB entry) and
-// hands it back at commit.
+// Info carries the per-prediction state Update needs from Predict to
+// commit: the provider chain, and every table slot the prediction read.
+// The core stores it in the in-flight branch's uop and hands it back at
+// commit, so it holds nothing else, in the narrowest types that fit.
 type Info struct {
-	PredTaken bool // the final prediction returned to the core
-
-	provider int  // hitting table (0..nTables-1), -1 = bimodal
-	altPred  bool // prediction of the alternate component
-	tagePred bool // prediction of the provider component
-	bimIdx   uint32
-	idx      [nTables]uint32
-	tag      [nTables]uint16
+	idx      [nTables]uint16 // tagged-table indices (logTagged bits)
+	tag      [nTables]uint16 // tagged-table tags (tagBits bits)
+	scIdx    [scTables]uint16
+	bimIdx   uint16
+	provider int8  // hitting table (0..nTables-1), -1 = bimodal
+	loopIdx  uint8 // loop-predictor slot
+	altPred  bool  // prediction of the alternate component
+	tagePred bool  // prediction of the provider component
 	loopHit  bool
-	loopPred bool
-	loopIdx  int
-	scUsed   bool
-	scSum    int32
-	scIdx    [scTables]uint32
 }
 
 type tage struct {
@@ -62,11 +58,6 @@ func newTAGE() *tage {
 	for i := range t.tables {
 		t.tables[i] = make([]taggedEntry, 1<<logTagged)
 	}
-	for i := 0; i < nTables; i++ {
-		t.hist.idxFold[i] = newFolded(historyLens[i], logTagged)
-		t.hist.tagFold1[i] = newFolded(historyLens[i], tagBits)
-		t.hist.tagFold2[i] = newFolded(historyLens[i], tagBits-1)
-	}
 	t.rnd = 0x853c49e6748fea9b
 	return t
 }
@@ -78,49 +69,42 @@ func (t *tage) nextRand() uint64 {
 	return t.rnd
 }
 
-func (t *tage) index(pc uint64, table int) uint32 {
-	h := uint32(pc>>2) ^ uint32(pc>>(2+logTagged)) ^
-		t.hist.idxFold[table].comp ^ uint32(t.hist.phist&((1<<min(historyLens[table], 16))-1))
-	return h & ((1 << logTagged) - 1)
-}
-
-func (t *tage) tagHash(pc uint64, table int) uint16 {
-	h := uint32(pc>>2) ^ t.hist.tagFold1[table].comp ^ (t.hist.tagFold2[table].comp << 1)
-	return uint16(h & ((1 << tagBits) - 1))
-}
-
 // predict computes the TAGE prediction for pc and records provider state
 // into info.
 func (t *tage) predict(pc uint64, info *Info) bool {
-	info.bimIdx = uint32(pc>>2) & ((1 << logBimodal) - 1)
+	info.bimIdx = uint16(pc>>2) & (1<<logBimodal - 1)
 	bimPred := t.bimodal[info.bimIdx] >= 0
 
-	info.provider = -1
-	altProvider := -1
+	h := &t.hist
+	pcIdx := uint32(pc>>2) ^ uint32(pc>>(2+logTagged))
 	for i := 0; i < nTables; i++ {
-		info.idx[i] = t.index(pc, i)
-		info.tag[i] = t.tagHash(pc, i)
+		f := h.idxFold(i)
+		ph := uint32(h.phist) & (1<<min(historyLens[i], 16) - 1)
+		info.idx[i] = uint16((pcIdx ^ f ^ ph) & (1<<logTagged - 1))
+		info.tag[i] = uint16((uint32(pc>>2) ^ f ^ h.tagFold(i)<<1) & (1<<tagBits - 1))
 	}
+	provider, altProvider := -1, -1
 	for i := nTables - 1; i >= 0; i-- {
 		if t.tables[i][info.idx[i]].tag == info.tag[i] {
-			if info.provider < 0 {
-				info.provider = i
-			} else if altProvider < 0 {
+			if provider < 0 {
+				provider = i
+			} else {
 				altProvider = i
 				break
 			}
 		}
 	}
+	info.provider = int8(provider)
 
 	info.altPred = bimPred
 	if altProvider >= 0 {
 		info.altPred = t.tables[altProvider][info.idx[altProvider]].ctr >= 0
 	}
-	if info.provider < 0 {
+	if provider < 0 {
 		info.tagePred = bimPred
 		return bimPred
 	}
-	e := &t.tables[info.provider][info.idx[info.provider]]
+	e := &t.tables[provider][info.idx[provider]]
 	info.tagePred = e.ctr >= 0
 	// Newly allocated entries (weak counter, zero usefulness) are
 	// unreliable; optionally trust the alternate prediction instead.
@@ -134,10 +118,11 @@ func (t *tage) predict(pc uint64, info *Info) bool {
 // update trains TAGE with the committed outcome. info must be the Info
 // produced by predict for this branch instance.
 func (t *tage) update(pc uint64, taken bool, info *Info) {
+	provider := int(info.provider)
 	// Allocation: on a misprediction by the provider chain, try to
 	// allocate an entry in a table with a longer history.
-	if info.tagePred != taken && info.provider < nTables-1 {
-		start := info.provider + 1
+	if info.tagePred != taken && provider < nTables-1 {
+		start := provider + 1
 		allocated := false
 		// Randomise the starting candidate slightly to avoid ping-pong.
 		if start < nTables-1 && t.nextRand()&1 == 0 {
@@ -160,7 +145,7 @@ func (t *tage) update(pc uint64, taken bool, info *Info) {
 		if !allocated {
 			// Nothing stealable: age the candidates so a future
 			// allocation succeeds.
-			for i := info.provider + 1; i < nTables; i++ {
+			for i := provider + 1; i < nTables; i++ {
 				e := &t.tables[i][info.idx[i]]
 				if e.u > 0 {
 					e.u--
@@ -170,8 +155,8 @@ func (t *tage) update(pc uint64, taken bool, info *Info) {
 	}
 
 	// Train the provider (or the bimodal table on a total miss).
-	if info.provider >= 0 {
-		e := &t.tables[info.provider][info.idx[info.provider]]
+	if provider >= 0 {
+		e := &t.tables[provider][info.idx[provider]]
 		bumpCtr(&e.ctr, taken)
 		// Track whether "use alt on newly allocated" helps.
 		weak := e.u == 0
@@ -190,7 +175,7 @@ func (t *tage) update(pc uint64, taken bool, info *Info) {
 			e.u--
 		}
 		// Keep the bimodal table warm as the fallback.
-		if info.provider == 0 || info.altPred != taken {
+		if provider == 0 || info.altPred != taken {
 			bumpBimodal(&t.bimodal[info.bimIdx], taken)
 		}
 	} else {
@@ -227,11 +212,4 @@ func bumpBimodal(c *int8, taken bool) {
 	} else if *c > -2 {
 		*c--
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

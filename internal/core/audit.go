@@ -27,48 +27,8 @@ func (c *Core) audit() {
 			c.cycle, c.s.Benchmark, c.s.Scheme, c.mode, fmt.Sprintf(format, args...)))
 	}
 
-	// ROB: occupancy matches, ages strictly increase, slots outside the
-	// ring are nil.
-	var prevSeq uint64
-	lq := 0
-	inROB := make(map[*uop]bool, c.robCount)
-	for i := 0; i < c.cfg.ROB; i++ {
-		idx := (c.robHead + i) % c.cfg.ROB
-		u := c.rob[idx]
-		if i < c.robCount {
-			if u == nil {
-				fail("ROB slot %d (occupied region) is nil", idx)
-			}
-			if u.state == uopDead {
-				fail("dead uop seq=%d in ROB", u.seq)
-			}
-			if u.seq <= prevSeq {
-				fail("ROB age order violated: %d after %d", u.seq, prevSeq)
-			}
-			prevSeq = u.seq
-			if u.inLQ {
-				lq++
-			}
-			inROB[u] = true
-		} else if u != nil {
-			fail("ROB slot %d (free region) holds seq=%d", idx, u.seq)
-		}
-	}
-	if lq != c.lqCount {
-		fail("lqCount=%d but %d ROB loads hold LQ entries", c.lqCount, lq)
-	}
-
-	// IQ: entries are live, waiting, and within capacity. Tombstones left
-	// by the lazy-compacting issue loop are squeezed out first so the
-	// checks (and the positional layout injection sees) match a per-cycle-
-	// compacting queue exactly.
-	c.compactIQ()
-	if len(c.iq) > c.cfg.IQ {
-		fail("IQ over capacity: %d > %d", len(c.iq), c.cfg.IQ)
-	}
-	if c.iqLive != len(c.iq) {
-		fail("iqLive=%d but compacted IQ holds %d entries", c.iqLive, len(c.iq))
-	}
+	// The ready list is age-ordered, and holds every waiting uop whose
+	// wakeup filter has drained (checked against the IQ below).
 	listed := make(map[*uop]uint64, len(c.readyList))
 	for i, w := range c.readyList {
 		if i > 0 && c.readyList[i-1].seq > w.seq {
@@ -79,16 +39,14 @@ func (c *Core) audit() {
 			listed[w.u] = w.seq
 		}
 	}
-	for _, w := range c.iq {
-		u := w.u
-		if u.seq != w.seq {
-			fail("IQ entry seq=%d survived compaction but uop is seq=%d", w.seq, u.seq)
-		}
-		if u.state != uopDispatched {
-			fail("IQ holds seq=%d in state %d", u.seq, u.state)
-		}
-		if !u.runahead && u.robIdx < 0 && !u.inst.IsNop() {
-			fail("normal-mode IQ entry seq=%d has no ROB slot", u.seq)
+	// IQ: the queue is implicit — the ROB's waiting uops, then the
+	// PRDQ's — so check each entry as the walks below meet it, and that
+	// iqLive counts exactly them.
+	iqLen := 0
+	checkIQ := func(u *uop, runahead bool) {
+		iqLen++
+		if u.runahead != runahead {
+			fail("IQ seq=%d has runahead=%v, but ROB uops are normal-mode and PRDQ uops runahead", u.seq, u.runahead)
 		}
 		// The event-driven wakeup filter is one-sided: a positive notReady
 		// must imply unready sources (issueStage skips on it without
@@ -105,6 +63,55 @@ func (c *Core) audit() {
 				fail("IQ seq=%d has notReady=0 but is missing from the ready list", u.seq)
 			}
 		}
+	}
+
+	// ROB: occupancy matches, ages strictly increase, slots outside the
+	// ring are nil.
+	var prevSeq uint64
+	lq := 0
+	inROB := make(map[*uop]bool, c.robCount)
+	for i := 0; i < c.cfg.ROB; i++ {
+		idx := c.robSlot(i)
+		u := c.rob[idx]
+		if i < c.robCount {
+			if u == nil {
+				fail("ROB slot %d (occupied region) is nil", idx)
+			}
+			if u.state == uopDead {
+				fail("dead uop seq=%d in ROB", u.seq)
+			}
+			if u.seq <= prevSeq {
+				fail("ROB age order violated: %d after %d", u.seq, prevSeq)
+			}
+			prevSeq = u.seq
+			if u.inLQ {
+				lq++
+			}
+			if u.state == uopDispatched {
+				checkIQ(u, false)
+			}
+			inROB[u] = true
+		} else if u != nil {
+			fail("ROB slot %d (free region) holds seq=%d", idx, u.seq)
+		}
+	}
+	if lq != c.lqCount {
+		fail("lqCount=%d but %d ROB loads hold LQ entries", c.lqCount, lq)
+	}
+	for _, u := range c.prdq {
+		if u.seq <= prevSeq {
+			fail("PRDQ seq=%d is not younger than seq=%d before it", u.seq, prevSeq)
+		}
+		prevSeq = u.seq
+		if u.state == uopDispatched {
+			checkIQ(u, true)
+		}
+	}
+	if iqLen != c.iqLive {
+		fail("iqLive=%d but the ROB and PRDQ hold %d waiting uops", c.iqLive, iqLen)
+	}
+	if iqLen > c.cfg.IQ {
+		fail("IQ over capacity: %d > %d", iqLen, c.cfg.IQ)
 	}
 
 	// SQ: age-ordered stores within capacity.

@@ -79,7 +79,7 @@ func (c *Core) dispatchNormal(u *uop) bool {
 	u.dispatchedAt = c.cycle
 	u.hbAtDispatch, u.fsAtDispatch = c.ledger.Cum()
 	c.s.TotalDispatched++
-	u.robIdx = c.robTailIdx()
+	u.robIdx = c.robSlot(c.robCount)
 	c.rob[u.robIdx] = u
 	c.robCount++
 
@@ -173,7 +173,6 @@ func (c *Core) enqueueIQ(u *uop) {
 			c.waiters[p] = append(c.waiters[p], waiter{u, u.seq})
 		}
 	}
-	c.iq = append(c.iq, waiter{u, u.seq})
 	c.iqLive++
 	if u.notReady == 0 {
 		c.pushReady(u)
@@ -219,40 +218,31 @@ func (c *Core) pushReady(u *uop) {
 	c.readyList[i] = waiter{u, u.seq}
 }
 
-// iqCompactThreshold is the tombstone count at which issueStage compacts
-// the issue queue (see compactIQ).
-const iqCompactThreshold = 32
-
-// compactIQ drops every entry that is no longer a waiting dispatched uop —
-// issued tombstones and squashed leftovers — restoring the dense dispatch-
-// order layout the per-cycle-compacting implementation maintained. Audit
-// and fault injection index IQ slots positionally, so both force a
-// compaction before looking; the hot path compacts only when tombstones
-// have piled up.
-//
-//rarlint:hot
-func (c *Core) compactIQ() {
-	if c.iqTomb == 0 {
-		return
+// iqEntry returns the uop in issue-queue slot i, or nil when the slot is
+// empty. The queue is implicit: its entries are the dispatched uops still
+// waiting to issue, in seq order — the ROB's, then the PRDQ's (runahead
+// dispatches behind a frozen ROB, so every PRDQ uop is younger).
+func (c *Core) iqEntry(i int) *uop {
+	if i < 0 || i >= c.iqLive {
+		return nil
 	}
-	c.rebuildIQ()
-}
-
-// rebuildIQ unconditionally compacts the issue queue down to its live
-// waiting entries (seq guard intact and still dispatched) and recounts.
-func (c *Core) rebuildIQ() {
-	kept := c.iq[:0]
-	for _, w := range c.iq {
-		if w.u.seq == w.seq && w.u.state == uopDispatched {
-			kept = append(kept, w)
+	for k := 0; k < c.robCount; k++ {
+		if u := c.rob[c.robSlot(k)]; u.state == uopDispatched {
+			if i == 0 {
+				return u
+			}
+			i--
 		}
 	}
-	for i := len(kept); i < len(c.iq); i++ {
-		c.iq[i] = waiter{}
+	for _, u := range c.prdq {
+		if u.state == uopDispatched {
+			if i == 0 {
+				return u
+			}
+			i--
+		}
 	}
-	c.iq = kept
-	c.iqLive = len(kept)
-	c.iqTomb = 0
+	return nil
 }
 
 // issueStage selects up to Width ready uops, oldest first, and starts them
@@ -278,16 +268,11 @@ func (c *Core) issueStage() {
 			continue
 		}
 		issued++
-		// The issued uop stays in c.iq as a tombstone until compaction.
-		c.iqTomb++
 		c.iqLive--
 	}
 	c.readyList = kept
 	if issued > 0 {
 		c.progress++
-	}
-	if c.iqTomb >= iqCompactThreshold {
-		c.compactIQ()
 	}
 }
 
@@ -544,18 +529,22 @@ func (c *Core) recoverMispredict(u *uop) {
 	}
 }
 
-// squashYounger removes every uop younger than seqB from the ROB and the
-// front-end, rolling back rename state.
+// squashYounger removes every uop younger than seqB from the ROB, the
+// store queue and the front-end, rolling back rename state. Nothing else
+// needs purging: the issue queue is implicit, and ready-list, wakeup and
+// completion-wheel entries of a squashed uop are made inert by their
+// seq/state guards and dropped when next walked, so a squash costs
+// O(squashed + SQ), not O(in-flight).
 func (c *Core) squashYounger(seqB uint64) {
 	squashed := c.squashScratch[:0]
 	for c.robCount > 0 {
-		tail := c.robHead + c.robCount - 1
-		if tail >= c.cfg.ROB {
-			tail -= c.cfg.ROB
-		}
+		tail := c.robSlot(c.robCount - 1)
 		u := c.rob[tail]
 		if u.seq <= seqB {
 			break
+		}
+		if u.state == uopDispatched {
+			c.iqLive--
 		}
 		if u.dest >= 0 {
 			c.regs.rat[u.inst.Dest] = u.prevDest
@@ -569,21 +558,6 @@ func (c *Core) squashYounger(seqB uint64) {
 		c.robCount--
 		squashed = append(squashed, u)
 	}
-	c.filterSecondary()
-	c.clearFrontQ()
-	for _, u := range squashed {
-		c.release(u)
-	}
-	c.squashScratch = squashed[:0]
-}
-
-// filterSecondary drops dead uops from the issue queue and store queue.
-// Completion-wheel entries are NOT purged here: a squashed uop's entry is
-// made inert by the seq/state guard and is dropped when its bucket drains
-// (or at overflow migration), so squash paths stay O(squashed), not
-// O(in-flight).
-func (c *Core) filterSecondary() {
-	c.rebuildIQ()
 	sq := c.sqList[:0]
 	for _, u := range c.sqList {
 		if u.state != uopDead {
@@ -591,6 +565,11 @@ func (c *Core) filterSecondary() {
 		}
 	}
 	c.sqList = sq
+	c.clearFrontQ()
+	for _, u := range squashed {
+		c.release(u)
+	}
+	c.squashScratch = squashed[:0]
 }
 
 // commitStage retires up to Width completed instructions from the ROB

@@ -74,19 +74,14 @@ type Core struct {
 	rob      []*uop
 	robHead  int
 	robCount int
-	// iq is the issue queue in dispatch (seq) order. Issued entries are
-	// left behind as seq-guarded tombstones rather than compacted out
-	// every cycle — an issued uop can commit and be pool-recycled while
-	// its slot lingers, and uopDispatched is the uop zero state, so only
-	// the seq guard distinguishes a waiting entry from a stale one.
-	// iqLive counts the live waiting entries (the architectural IQ
-	// occupancy — capacity checks use it) and iqTomb the tombstones.
-	// compactIQ restores the fully compacted layout — exactly the slice a
-	// per-cycle-compacting implementation maintains — before any observer
-	// (audit, fault injection) looks at slot positions.
-	iq     []waiter //rarlint:quiescent queue membership only: issueability is covered via readyList, fill and FU events
+	// iqLive is the issue queue's occupancy: the dispatched uops still
+	// waiting to issue. The queue itself is implicit — its entries are
+	// exactly the ROB's and the PRDQ's uops in state uopDispatched — so
+	// nothing but this count is kept: enqueueIQ raises it, issue and the
+	// three squash paths (squashYounger, squashRunaheadYounger,
+	// discardRunahead) lower it. iqEntry lists the queue for IQ fault
+	// injection, and the audit checks the count against the same walk.
 	iqLive int
-	iqTomb int //rarlint:quiescent issue-queue compaction bookkeeping: consumed by the next stage-driven sweep
 	// readyList holds the issue candidates in seq order: every live
 	// dispatched uop whose notReady filter has hit zero. Entries are
 	// seq-guarded like waiter registrations — issued, squashed or recycled
@@ -126,7 +121,7 @@ type Core struct {
 
 	// bpSnapArena backs the history snapshots of in-flight mispredicted
 	// branches, indexed by uop.bpSnap. Only mispredicts allocate a slot
-	// (a handful live at once), so the ~200-byte Snapshot stays out of
+	// (a handful live at once), so the 72-byte Snapshot stays out of
 	// the uop record. Slots recycle through bpSnapFree when the owning
 	// uop is released; a freed slot's content is dead, so neither list
 	// needs restoring at runahead exit.
@@ -692,15 +687,17 @@ func (c *Core) robHeadUop() *uop {
 	return c.rob[c.robHead]
 }
 
-func (c *Core) robTailIdx() int {
+// robSlot returns the ring index of the k-th oldest ROB entry; k ==
+// robCount is the tail slot, where dispatch writes next.
+func (c *Core) robSlot(k int) int {
 	// Both operands are < ROB, so one conditional subtraction replaces the
 	// integer division the compiler would emit for % (ROB is not a power
-	// of two, and this runs for every dispatched uop).
-	if t := c.robHead + c.robCount; t < c.cfg.ROB {
-		return t
-	} else {
-		return t - c.cfg.ROB
+	// of two, and the tail slot is needed for every dispatched uop).
+	t := c.robHead + k
+	if t >= c.cfg.ROB {
+		t -= c.cfg.ROB
 	}
+	return t
 }
 
 func (c *Core) finalizeStats() {

@@ -112,7 +112,7 @@ func (c *Core) fetchStage() {
 
 		// Predict the branch. Only a mispredicted branch is ever rewound
 		// (recovery restores exactly its pre-shift history), and the
-		// simulator knows the true outcome here — so the ~200-byte
+		// simulator knows the true outcome here — so the 72-byte
 		// Snapshot copy is taken just for mispredicts instead of every
 		// branch. The snapshot state is identical either way: it is
 		// captured before the predicted outcome shifts into the history.

@@ -100,16 +100,9 @@ func (c *Core) injectOccupant(st ace.Structure, slot int) *uop {
 		}
 		return u
 	case ace.IQ:
-		// The issue queue's live entries are exactly the waiting uops;
-		// an entry is vulnerable from dispatch to issue. Slot positions
-		// are architectural, so tombstones must be squeezed out first —
-		// compaction reproduces exactly the dense layout a per-cycle-
-		// compacting issue queue presents at this point in the cycle.
-		c.compactIQ()
-		if slot < 0 || slot >= len(c.iq) {
-			return nil
-		}
-		return c.iq[slot].u
+		// The issue queue's entries are exactly the waiting uops, packed
+		// in seq order; an entry is vulnerable from dispatch to issue.
+		return c.iqEntry(slot)
 	case ace.LQ:
 		// Address/data fields are vulnerable from execute to commit.
 		n := 0

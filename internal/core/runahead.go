@@ -338,6 +338,9 @@ func (c *Core) squashRunaheadYounger(seqB uint64) {
 		if u.seq <= seqB {
 			break
 		}
+		if u.state == uopDispatched {
+			c.iqLive--
+		}
 		if u.dest >= 0 {
 			c.regs.rat[u.inst.Dest] = u.prevDest
 			c.regs.free(u.dest)
@@ -347,7 +350,6 @@ func (c *Core) squashRunaheadYounger(seqB uint64) {
 		c.prdq = c.prdq[:len(c.prdq)-1]
 		squashed = append(squashed, u)
 	}
-	c.filterSecondary()
 	c.clearFrontQ()
 	for _, u := range squashed {
 		c.release(u)
@@ -361,13 +363,15 @@ func (c *Core) squashRunaheadYounger(seqB uint64) {
 func (c *Core) discardRunahead() {
 	c.regs.restoreRAT(c.chk.rat)
 	for _, u := range c.prdq {
+		if u.state == uopDispatched {
+			c.iqLive--
+		}
 		u.state = uopDead
 		if u.dest >= 0 {
 			c.regs.free(u.dest)
 			u.dest = -1
 		}
 	}
-	c.filterSecondary()
 	c.clearFrontQ()
 	for _, u := range c.prdq {
 		c.release(u)

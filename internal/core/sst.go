@@ -16,8 +16,6 @@ type sst struct {
 	entries []uint64 //rarlint:quiescent runahead training state: consulted only by stage-driven dispatch
 	mask    uint64
 	inserts uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	//rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	hits uint64 //rarlint:survives statistics counter; the SST itself trains across runahead intervals by design
 }
 
 func newSST(size int) *sst {
@@ -33,13 +31,7 @@ func newSST(size int) *sst {
 // alias each other's slots.
 func sstIndex(pc, mask uint64) uint64 { return ((pc >> 2) ^ (pc >> 9)) & mask }
 
-func (s *sst) contains(pc uint64) bool {
-	if s.entries[sstIndex(pc, s.mask)] == pc {
-		s.hits++
-		return true
-	}
-	return false
-}
+func (s *sst) contains(pc uint64) bool { return s.entries[sstIndex(pc, s.mask)] == pc }
 
 func (s *sst) insert(pc uint64) {
 	if pc == 0 {

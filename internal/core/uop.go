@@ -78,9 +78,9 @@ type uop struct {
 
 	// Branch prediction state. bpSnap indexes the core's snapshot arena
 	// (-1 = none): only mispredicted branches carry a history snapshot,
-	// and keeping the ~200-byte Snapshot out of line shrinks every uop by
-	// ~40% — the pool, the ROB ring and every stage walk touch that much
-	// less cache.
+	// and keeping the 72-byte Snapshot out of line keeps every uop within
+	// four cache lines — the pool, the ROB ring and every stage walk touch
+	// that much less cache.
 	predTaken bool  //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 	bpSnap    int32 //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 
@@ -95,10 +95,10 @@ type uop struct {
 	// (see inject.go); resolved at commit or squash.
 	inj []int32 //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 
-	// bpInfo sits last deliberately: at ~90 bytes it is the fattest field,
-	// and only branch uops (a minority) ever touch it — every field the
-	// non-branch stage walks read now fits in the first four cache lines
-	// instead of straddling the Info blob.
+	// bpInfo sits last deliberately: only branch uops (a minority) ever
+	// touch it, and with inj it fills the uop's fourth cache line, so every
+	// field the non-branch stage walks read sits in the first three. The
+	// whole uop is 256 bytes (TestUopSize).
 	bpInfo branch.Info //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 }
 
@@ -122,41 +122,40 @@ func (p *uopPool) get() *uop {
 	return &uop{}
 }
 
-// reset clears a recycled uop field by field instead of `*u = uop{}`: the
-// full duffzero was a measurable slice of fetch. Two fields may keep
-// stale contents because every reader writes them first in the same
-// incarnation:
+// reset clears the fields of a recycled uop that some path reads before
+// it writes them; `*u = uop{}` would clear all 256 bytes, and that
+// duffzero was a measurable slice of fetch. Every other field is written
+// first in each incarnation:
 //
-//   - inst: assigned at every fetch site before the uop is enqueued;
-//   - bpInfo: written by fetch's Predict for every on-path branch, and
-//     only ever read for on-path branches (commit-time Update) —
-//     wrong-path uops never reach it.
+//   - src, dest, prevDest, robIdx and bpSnap: by newUop, right after get
+//     (release also returns bpSnap to -1);
+//   - inst and frontReadyAt: at every fetch site, and streamIdx at every
+//     fetch of a stream instruction — the only uops whose streamIdx is
+//     read;
+//   - predTaken and bpInfo: by fetch's prediction of every on-path branch,
+//     and only on-path branches read them;
+//   - state: at dispatch (enqueueIQ, a NOP's completion, a runahead drop);
+//     nothing reads the state of a uop still in the front-end pipe, and
+//     the seq guard keeps the previous incarnation's registrations inert;
+//   - notReady: by enqueueIQ, before any registration of this incarnation;
+//   - dispatchedAt and hbAtDispatch/fsAtDispatch: at dispatch, and read
+//     only for committed uops, all of which dispatched in normal mode;
+//   - issuedAt, fuLatency, hbAtIssue/fsAtIssue, hbAtDone/fsAtDone: at
+//     issue and completion, read only behind issueValid;
+//   - doneAt: at issue, a NOP's dispatch or a runahead drop, before
+//     anything reads it; llcMiss: with memIssued, behind which it is read;
+//   - inj: release drains it to length 0, keeping its backing array so
+//     tagged uops stop reallocating.
 //
-// predTaken is NOT exempt: completeUop compares it against the actual
-// outcome for every on-path branch, so it must not leak from a previous
-// incarnation even transiently. bpSnap (the snapshot-arena index) is
-// reset by release when the slot is returned, and newUop re-arms it to
-// -1 for the never-pooled path. inj keeps its backing array (length 0 —
-// release drains it) so tagged uops stop reallocating.
+// seq, which newUop numbers next, is zeroed anyway: a record handed out
+// by the pool carries no identity of its previous incarnation.
 func (u *uop) reset() {
 	u.seq = 0
-	u.state = uopDispatched
 	u.runahead, u.inv = false, false
-	u.src = [2]int16{}
-	u.dest, u.prevDest = 0, 0
-	u.notReady = 0
-	u.streamIdx = 0
-	u.robIdx = 0
 	u.inLQ, u.inSQ = false, false
-	u.frontReadyAt, u.dispatchedAt, u.issuedAt = 0, 0, 0
-	u.doneAt, u.retryAt, u.fuLatency = 0, 0, 0
-	u.llcMiss, u.longLat, u.memIssued = false, false, false
-	u.predTaken = false
-	u.hbAtDispatch, u.fsAtDispatch = 0, 0
-	u.hbAtIssue, u.fsAtIssue = 0, 0
-	u.hbAtDone, u.fsAtDone = 0, 0
+	u.retryAt = 0
+	u.longLat, u.memIssued = false, false
 	u.issueValid = false
-	u.inj = u.inj[:0]
 }
 
 func (p *uopPool) put(u *uop) {

@@ -11,11 +11,21 @@ import "fmt"
 // *learns* them at the pipeline stage where real hardware would (address
 // generation for memory ops, execute for branches).
 type Inst struct {
+	// The fields are ordered widest first so the record packs into 32
+	// bytes: the core copies one into every uop it fetches.
+
 	// PC is the (synthetic) program counter of the instruction. Generators
 	// assign stable PCs so that PC-indexed structures — the branch
 	// predictor, the stalling slice table (SST), the prefetcher — see
 	// realistic locality.
 	PC uint64 //rarlint:quiescent fetch-path record: synthesized from the covered stream cursor when fetch resumes
+
+	// Addr is the effective address for loads and stores.
+	Addr uint64 //rarlint:quiescent fetch-path record: synthesized from the covered stream cursor when fetch resumes
+
+	// Target is the resolved target for taken branches; for not-taken
+	// branches it is the fall-through PC.
+	Target uint64 //rarlint:quiescent fetch-path record: synthesized from the covered stream cursor when fetch resumes
 
 	// Class is the instruction class.
 	Class Class
@@ -29,18 +39,11 @@ type Inst struct {
 	// always initialise all three operand fields.
 	Dest Reg
 
-	// Addr is the effective address for loads and stores.
-	Addr uint64 //rarlint:quiescent fetch-path record: synthesized from the covered stream cursor when fetch resumes
-
 	// Size is the access size in bytes for loads and stores.
 	Size uint8 //rarlint:quiescent fetch-path record: synthesized from the covered stream cursor when fetch resumes
 
 	// Taken is the resolved direction for branches.
 	Taken bool //rarlint:quiescent fetch-path record: synthesized from the covered stream cursor when fetch resumes
-
-	// Target is the resolved target for taken branches; for not-taken
-	// branches it is the fall-through PC.
-	Target uint64 //rarlint:quiescent fetch-path record: synthesized from the covered stream cursor when fetch resumes
 
 	// WrongPath marks instructions injected by the front-end while
 	// fetching down a mispredicted path. Wrong-path instructions occupy

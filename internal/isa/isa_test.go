@@ -3,6 +3,7 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestClassString(t *testing.T) {
@@ -122,5 +123,13 @@ func TestInstString(t *testing.T) {
 		if in.String() == "" {
 			t.Errorf("empty String() for %v", in.Class)
 		}
+	}
+}
+
+// TestInstSize pins the packed layout: the core copies an Inst into every
+// uop it fetches, and its uop budget is laid out around 32 bytes.
+func TestInstSize(t *testing.T) {
+	if n := unsafe.Sizeof(Inst{}); n != 32 {
+		t.Errorf("Inst is %d bytes, want 32", n)
 	}
 }

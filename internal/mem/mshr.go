@@ -9,7 +9,14 @@ type MSHRs struct {
 	entries []mshrEntry
 	size    int
 
-	allocs uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
+	// live counts the valid entries and minFill is the earliest fillAt
+	// among them (noFill while there are none). Every valid entry fills
+	// at minFill or later, so before minFill nothing can be reaped and
+	// every valid entry is outstanding: an access then reaps, counts and
+	// bounds the file without scanning it.
+	live    int
+	minFill uint64
+
 	merges uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
 	full   uint64 //rarlint:quiescent back-pressure flag: recomputed on each stage-driven access
 	peak   int    //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
@@ -21,17 +28,31 @@ type mshrEntry struct {
 	valid  bool
 }
 
+// noFill is minFill's value while the file is empty.
+const noFill = ^uint64(0)
+
 // NewMSHRs builds a file with the given number of registers.
 func NewMSHRs(size int) *MSHRs {
-	return &MSHRs{entries: make([]mshrEntry, size), size: size}
+	return &MSHRs{entries: make([]mshrEntry, size), size: size, minFill: noFill}
 }
 
 // reap retires entries whose fill has completed by cycle now.
 func (m *MSHRs) reap(now uint64) {
+	if m.minFill > now {
+		return
+	}
+	m.live, m.minFill = 0, noFill
 	for i := range m.entries {
-		if m.entries[i].valid && m.entries[i].fillAt <= now {
-			m.entries[i].valid = false
+		e := &m.entries[i]
+		if !e.valid {
+			continue
 		}
+		if e.fillAt <= now {
+			e.valid = false
+			continue
+		}
+		m.live++
+		m.minFill = min(m.minFill, e.fillAt)
 	}
 }
 
@@ -39,6 +60,9 @@ func (m *MSHRs) reap(now uint64) {
 // if so, when its fill completes.
 func (m *MSHRs) Lookup(addr, now uint64) (fillAt uint64, merged bool) {
 	m.reap(now)
+	if m.live == 0 {
+		return 0, false
+	}
 	line := LineAddr(addr)
 	for i := range m.entries {
 		if m.entries[i].valid && m.entries[i].line == line {
@@ -53,19 +77,22 @@ func (m *MSHRs) Lookup(addr, now uint64) (fillAt uint64, merged bool) {
 // fillAt. It reports false when the file is full (the access must retry).
 func (m *MSHRs) Allocate(addr, now, fillAt uint64) bool {
 	m.reap(now)
-	line := LineAddr(addr)
+	if m.live == m.size {
+		m.full++
+		return false
+	}
 	for i := range m.entries {
 		if !m.entries[i].valid {
-			m.entries[i] = mshrEntry{line: line, fillAt: fillAt, valid: true}
-			m.allocs++
-			if n := m.Outstanding(now); n > m.peak {
-				m.peak = n
-			}
-			return true
+			m.entries[i] = mshrEntry{line: LineAddr(addr), fillAt: fillAt, valid: true}
+			break
 		}
 	}
-	m.full++
-	return false
+	m.live++
+	m.minFill = min(m.minFill, fillAt)
+	if n := m.Outstanding(now); n > m.peak {
+		m.peak = n
+	}
+	return true
 }
 
 // NextFillAt returns the earliest cycle after now at which an in-flight
@@ -77,6 +104,12 @@ func (m *MSHRs) Allocate(addr, now, fillAt uint64) bool {
 //
 //rarlint:pure
 func (m *MSHRs) NextFillAt(now uint64) (fillAt uint64, ok bool) {
+	if m.live == 0 {
+		return 0, false
+	}
+	if m.minFill > now {
+		return m.minFill, true
+	}
 	for i := range m.entries {
 		if !m.entries[i].valid || m.entries[i].fillAt <= now {
 			continue
@@ -92,6 +125,9 @@ func (m *MSHRs) NextFillAt(now uint64) (fillAt uint64, ok bool) {
 //
 //rarlint:pure
 func (m *MSHRs) Outstanding(now uint64) int {
+	if m.minFill > now {
+		return m.live
+	}
 	n := 0
 	for i := range m.entries {
 		if m.entries[i].valid && m.entries[i].fillAt > now {

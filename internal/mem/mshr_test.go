@@ -1,6 +1,10 @@
 package mem
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
 func TestMSHRAllocateAndMerge(t *testing.T) {
 	m := NewMSHRs(4)
@@ -61,5 +65,112 @@ func TestMSHRPeak(t *testing.T) {
 	}
 	if m.Size() != 8 {
 		t.Errorf("size = %d", m.Size())
+	}
+}
+
+// naiveMSHRs is the reference the watermarked file must reproduce: it
+// reaps the whole file on every access and scans it for every query.
+type naiveMSHRs struct {
+	entries      []mshrEntry
+	merges, full uint64
+	peak         int
+}
+
+func (m *naiveMSHRs) reap(now uint64) {
+	for i := range m.entries {
+		if m.entries[i].valid && m.entries[i].fillAt <= now {
+			m.entries[i].valid = false
+		}
+	}
+}
+
+func (m *naiveMSHRs) lookup(addr, now uint64) (uint64, bool) {
+	m.reap(now)
+	for _, e := range m.entries {
+		if e.valid && e.line == LineAddr(addr) {
+			m.merges++
+			return e.fillAt, true
+		}
+	}
+	return 0, false
+}
+
+func (m *naiveMSHRs) allocate(addr, now, fillAt uint64) bool {
+	m.reap(now)
+	for i := range m.entries {
+		if !m.entries[i].valid {
+			m.entries[i] = mshrEntry{line: LineAddr(addr), fillAt: fillAt, valid: true}
+			m.peak = max(m.peak, m.outstanding(now))
+			return true
+		}
+	}
+	m.full++
+	return false
+}
+
+func (m *naiveMSHRs) outstanding(now uint64) int {
+	n := 0
+	for _, e := range m.entries {
+		if e.valid && e.fillAt > now {
+			n++
+		}
+	}
+	return n
+}
+
+func (m *naiveMSHRs) nextFillAt(now uint64) (fillAt uint64, ok bool) {
+	for _, e := range m.entries {
+		if e.valid && e.fillAt > now && (!ok || e.fillAt < fillAt) {
+			fillAt, ok = e.fillAt, true
+		}
+	}
+	return fillAt, ok
+}
+
+// TestMSHRWatermarkMatchesNaive drives the watermarked file and the naive
+// reference with the same random Lookup/Allocate/Outstanding/NextFillAt
+// sequences — a clock that mostly advances but sometimes steps back, as
+// the core's same-cycle store drain does, fills due before, at and long
+// after the access, and few enough lines that merges and full stalls are
+// common — and compares every return value and counter after every call.
+func TestMSHRWatermarkMatchesNaive(t *testing.T) {
+	rnd := rand.New(rand.NewSource(11))
+	for _, size := range []int{1, 2, 4, 20} {
+		m := NewMSHRs(size)
+		ref := &naiveMSHRs{entries: make([]mshrEntry, size)}
+		now := uint64(1000)
+		for step := 0; step < 50_000; step++ {
+			switch r := rnd.Intn(10); {
+			case r < 6:
+				now += uint64(rnd.Intn(8))
+			case r == 6:
+				now -= uint64(rnd.Intn(3))
+			}
+			addr := uint64(rnd.Intn(3*size)) << lineShift
+			query := now + uint64(rnd.Intn(5)) - 2
+			var got, want string
+			switch op := rnd.Intn(4); op {
+			case 0:
+				f, ok := m.Lookup(addr, now)
+				rf, rok := ref.lookup(addr, now)
+				got, want = fmt.Sprint("Lookup ", f, ok), fmt.Sprint("Lookup ", rf, rok)
+			case 1:
+				fill := now + uint64(rnd.Intn(400)) - 5
+				got = fmt.Sprint("Allocate ", m.Allocate(addr, now, fill))
+				want = fmt.Sprint("Allocate ", ref.allocate(addr, now, fill))
+			case 2:
+				got = fmt.Sprint("Outstanding ", m.Outstanding(query))
+				want = fmt.Sprint("Outstanding ", ref.outstanding(query))
+			case 3:
+				f, ok := m.NextFillAt(query)
+				rf, rok := ref.nextFillAt(query)
+				got, want = fmt.Sprint("NextFillAt ", f, ok), fmt.Sprint("NextFillAt ", rf, rok)
+			}
+			got += fmt.Sprint(" stalls ", m.FullStalls(), " merges ", m.Merges(), " peak ", m.Peak())
+			want += fmt.Sprint(" stalls ", ref.full, " merges ", ref.merges, " peak ", ref.peak)
+			if got != want {
+				t.Fatalf("size %d step %d now %d: got %s, want %s", size, step, now, got, want)
+			}
+		}
 	}
 }

@@ -40,7 +40,6 @@ type StridePrefetcher struct {
 	buf []uint64 //rarlint:quiescent prefetch training table: trained and consulted only by stage-driven accesses
 
 	issued uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	trains uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
 }
 
 type pfStream struct {
@@ -63,7 +62,6 @@ func NewStridePrefetcher(degree int) *StridePrefetcher {
 // Train observes a demand access and returns the line addresses to
 // prefetch (empty when no stream is confident).
 func (p *StridePrefetcher) Train(addr, now uint64) []uint64 {
-	p.trains++
 	line := addr >> lineShift
 	region := addr >> 12
 
