@@ -6,9 +6,6 @@ package branch
 type BTB struct {
 	entries []btbEntry
 	mask    uint64
-
-	lookups uint64
-	misses  uint64
 }
 
 type btbEntry struct {
@@ -27,12 +24,10 @@ func NewBTB(logSize int) *BTB {
 
 // Lookup returns the stored target for the branch at pc.
 func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
-	b.lookups++
 	e := &b.entries[(pc>>2)&b.mask]
 	if e.valid && e.tag == uint32(pc>>2) {
 		return e.target, true
 	}
-	b.misses++
 	return 0, false
 }
 
@@ -40,12 +35,4 @@ func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 func (b *BTB) Insert(pc, target uint64) {
 	e := &b.entries[(pc>>2)&b.mask]
 	*e = btbEntry{tag: uint32(pc >> 2), target: target, valid: true}
-}
-
-// MissRate returns the fraction of lookups that missed.
-func (b *BTB) MissRate() float64 {
-	if b.lookups == 0 {
-		return 0
-	}
-	return float64(b.misses) / float64(b.lookups)
 }

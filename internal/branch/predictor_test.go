@@ -155,8 +155,8 @@ func TestBTB(t *testing.T) {
 	if _, hit := b.Lookup(0x1234); hit {
 		t.Error("conflicting insert must evict")
 	}
-	if b.MissRate() <= 0 || b.MissRate() > 1 {
-		t.Errorf("miss rate = %v", b.MissRate())
+	if target, hit := b.Lookup(conflict); !hit || target != 0xF00D {
+		t.Errorf("conflicting lookup = %#x,%v", target, hit)
 	}
 }
 

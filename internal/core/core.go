@@ -175,13 +175,6 @@ type Core struct {
 	// auditEvery enables the invariant checker (audit.go) every N cycles.
 	auditEvery uint64
 
-	// draining disables fetch while the pipeline empties between
-	// detailed samples (sample.go).
-	draining bool
-
-	// ffInstructions counts instructions skipped functionally.
-	ffInstructions uint64
-
 	// progress increments whenever a stage moves machine state forward
 	// (fetch, dispatch, issue, complete, commit, store drain, mode
 	// transitions). Lockstep compares it with progMark to skip the
@@ -426,8 +419,8 @@ func (c *Core) Run(instructions uint64) (Stats, error) {
 // returns statistics covering only the measured portion — the equivalent
 // of the paper's warmed-up SimPoint measurement. Caches, predictors and
 // the SST stay trained across the boundary; only the counters reset.
-// Targets are relative to instructions already committed, so RunWarm can
-// be called repeatedly (see RunSampled). A target past the uint64
+// Targets are relative to instructions already committed, so repeated
+// calls measure consecutive windows of one run. A target past the uint64
 // instruction count is an error.
 //
 //rarlint:hot
@@ -553,7 +546,7 @@ func deadlock(cores []*Core, target, now uint64) error {
 }
 
 // step advances the core by exactly one cycle; it is the only copy of the
-// per-cycle stage sequence. Lockstep and drain call it in their loops.
+// per-cycle stage sequence, and Lockstep is its only caller.
 func (c *Core) step() {
 	c.cycle++
 	c.ledger.SetCycle(c.cycle)
@@ -566,9 +559,7 @@ func (c *Core) step() {
 	c.modeStage()
 	c.issueStage()
 	c.dispatchStage()
-	if !c.draining {
-		c.fetchStage()
-	}
+	c.fetchStage()
 	c.drainStores()
 	if c.auditEvery > 0 && c.cycle%c.auditEvery == 0 {
 		c.audit() //rarlint:allow hotalloc audits are opt-in debugging, off in production sweeps

@@ -15,7 +15,6 @@ package core
 type sst struct {
 	entries []uint64 //rarlint:quiescent runahead training state: consulted only by stage-driven dispatch
 	mask    uint64
-	inserts uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
 }
 
 func newSST(size int) *sst {
@@ -38,7 +37,6 @@ func (s *sst) insert(pc uint64) {
 		return
 	}
 	s.entries[sstIndex(pc, s.mask)] = pc
-	s.inserts++
 }
 
 // producers records, per static instruction, the PCs of the instructions

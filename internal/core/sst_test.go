@@ -11,9 +11,15 @@ func TestSSTInsertContains(t *testing.T) {
 	if !s.contains(0x1000) {
 		t.Error("inserted PC must hit")
 	}
-	s.insert(0) // zero PCs are ignored
-	if s.inserts != 1 {
-		t.Errorf("inserts = %d", s.inserts)
+	// Zero PCs are ignored: inserting one must not evict 0x204, which
+	// shares its slot (slot 0 of a 128-entry table).
+	s.insert(0x204)
+	if sstIndex(0x204, s.mask) != sstIndex(0, s.mask) {
+		t.Fatal("0x204 and 0 must share a slot")
+	}
+	s.insert(0)
+	if !s.contains(0x204) {
+		t.Error("inserting PC 0 evicted 0x204")
 	}
 }
 

@@ -189,20 +189,6 @@ func Ablations(c Config) error {
 	return nil
 }
 
-// AbsoluteMTTFHours converts a run's AVF into a wall-clock mean time to
-// failure, given a raw device error rate in FIT per bit (Equation 4:
-// FIT = AVF × raw rate, derated over the core's vulnerable bits; MTTF is
-// its inverse, with FIT defined per 10^9 device-hours). The paper reports
-// only normalised MTTF — this helper exists for tools that want absolute
-// estimates under an assumed technology error rate.
-func AbsoluteMTTFHours(avf float64, totalBits uint64, rawFITPerBit float64) float64 {
-	fit := avf * rawFITPerBit * float64(totalBits)
-	if fit == 0 {
-		return 0
-	}
-	return 1e9 / fit
-}
-
 // AblationMulticore evaluates the paper's §VI-E deployment: a four-core
 // chip with shared LLC and DRAM running memory-intensive co-runners, as
 // an all-OoO chip versus an all-RAR chip. Chip failure rates add across

@@ -36,12 +36,6 @@ type Config struct {
 	Engine *sim.Engine
 }
 
-// DefaultConfig returns a configuration writing to stdout with the default
-// simulation options.
-func DefaultConfig() Config {
-	return Config{Opt: sim.DefaultOptions(), Out: os.Stdout}
-}
-
 func (c Config) emit(t *report.Table, csvName string) error {
 	t.Write(c.Out)
 	if c.CSVDir == "" {

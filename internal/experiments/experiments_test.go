@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -60,7 +61,7 @@ func TestEveryFigureRuns(t *testing.T) {
 }
 
 func TestByNameUnknown(t *testing.T) {
-	if err := ByName("99", DefaultConfig()); err == nil {
+	if err := ByName("99", Config{Out: io.Discard}); err == nil {
 		t.Error("unknown figure must error")
 	}
 }

@@ -72,15 +72,6 @@ func (in *Inst) IsNop() bool { return in.Class == Nop }
 // FallThrough returns the next sequential PC.
 func (in *Inst) FallThrough() uint64 { return in.PC + InstBytes }
 
-// NextPC returns the PC control flow continues at after this instruction:
-// the branch target for taken branches, the fall-through PC otherwise.
-func (in *Inst) NextPC() uint64 {
-	if in.IsBranch() && in.Taken {
-		return in.Target
-	}
-	return in.FallThrough()
-}
-
 // String renders a compact disassembly-like form, useful in tests and
 // debug traces.
 func (in *Inst) String() string {

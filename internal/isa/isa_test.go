@@ -88,17 +88,8 @@ func TestInstHelpers(t *testing.T) {
 	if !ld.IsLoad() || !ld.IsMem() || ld.IsStore() || !ld.HasDest() {
 		t.Error("load predicates wrong")
 	}
-	if ld.NextPC() != 0x44 {
-		t.Errorf("load NextPC = %#x", ld.NextPC())
-	}
-
-	br := Inst{Class: Branch, PC: 0x100, Taken: true, Target: 0x80}
-	if br.NextPC() != 0x80 {
-		t.Errorf("taken branch NextPC = %#x", br.NextPC())
-	}
-	br.Taken = false
-	if br.NextPC() != 0x104 {
-		t.Errorf("not-taken branch NextPC = %#x", br.NextPC())
+	if ld.FallThrough() != 0x44 {
+		t.Errorf("load FallThrough = %#x", ld.FallThrough())
 	}
 
 	st := Inst{Class: Store, Src1: 2, Src2: NoReg, Dest: NoReg, Addr: 0x2000}

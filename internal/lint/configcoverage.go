@@ -11,10 +11,10 @@ package lint
 //
 // A field counts as covered if it is read anywhere in the module outside
 // a write context: constructor assignments and composite-literal keys
-// are production, not consumption. Unlike statshygiene, interior chain
-// components count (`cfg.Mem.L1Size` covers both Mem and L1Size) —
-// coverage asks "does the knob reach the model", not "who consumes the
-// final value".
+// are production, not consumption. Unlike statshygiene's audit of
+// statistics, interior chain components count (`cfg.Mem.L1Size` covers
+// both Mem and L1Size) — coverage asks "does the knob reach the model",
+// not "who consumes the final value".
 
 import (
 	"fmt"

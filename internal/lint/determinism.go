@@ -305,7 +305,7 @@ func outputCall(p *Package, call *ast.CallExpr) string {
 	}
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 		switch fn.Name() {
-		case "Write", "WriteString", "WriteByte", "WriteRune", "AddRow", "AddF":
+		case "Write", "WriteString", "WriteByte", "WriteRune", "AddRow":
 			return fn.Name()
 		}
 	}

@@ -25,14 +25,15 @@ const (
 type fieldUse struct {
 	field *types.Var
 	kind  int
-	pos   token.Pos
 }
 
 // fieldFlow walks every file of every module package and classifies
 // accesses to the audited fields. countInner controls whether interior
-// components of a selector chain count as reads: statshygiene turns it
-// off (in `st.Mem.DemandLoads` only DemandLoads is consumed),
-// configcoverage turns it on (any appearance of a knob on a read path
+// components of a selector chain count as reads, in write targets too:
+// statshygiene turns it off for statistics (in `st.Mem.DemandLoads` only
+// DemandLoads is consumed) and on for plain state (`c.cfg.Width` and
+// `c.mshrs.full++` both reach through a field the code needs),
+// configcoverage turns it on (any appearance of a knob on an access path
 // means the knob reaches the model).
 type fieldFlow struct {
 	mod        *Module
@@ -69,7 +70,7 @@ func (ff *fieldFlow) file(p *Package, f *ast.File) {
 			ff.assign(p, n)
 		case *ast.IncDecStmt:
 			if fv, sel := ff.outermostField(p, n.X); fv != nil {
-				ff.record(fv, accWrite, n.X.Pos())
+				ff.record(fv, accWrite)
 				ff.markChain(sel)
 			}
 		case *ast.CompositeLit:
@@ -80,14 +81,26 @@ func (ff *fieldFlow) file(p *Package, f *ast.File) {
 	// Second pass: everything left is a read.
 	ast.Inspect(f, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
-		if !ok || ff.handled[sel] {
+		if !ok {
+			return true
+		}
+		if s := p.Info.Selections[sel]; s != nil && ff.countInner {
+			// The embedded fields a promoted selector passes through
+			// are interior components too, in write targets as well.
+			for _, fv := range pathFields(s.Recv(), s.Index()[:len(s.Index())-1]) {
+				if ff.audited[fv] {
+					ff.record(fv, accRead)
+				}
+			}
+		}
+		if ff.handled[sel] {
 			return true
 		}
 		fv := ff.fieldOf(p, sel)
 		if fv == nil {
 			return true
 		}
-		ff.record(fv, accRead, sel.Pos())
+		ff.record(fv, accRead)
 		if !ff.countInner {
 			// The interior of the chain is an access path, not a
 			// consumption of the interior fields.
@@ -123,7 +136,7 @@ func (ff *fieldFlow) assign(p *Package, n *ast.AssignStmt) {
 				continue
 			}
 		}
-		ff.record(fv, accWrite, lhs.Pos())
+		ff.record(fv, accWrite)
 	}
 }
 
@@ -142,7 +155,7 @@ func (ff *fieldFlow) composite(p *Package, cl *ast.CompositeLit) {
 		if !ok || !obj.IsField() || !ff.audited[obj] {
 			continue
 		}
-		ff.record(obj, accWrite, key.Pos())
+		ff.record(obj, accWrite)
 		ff.handled[key] = true
 	}
 }
@@ -170,7 +183,9 @@ func (ff *fieldFlow) auditedReads(p *Package, expr ast.Expr) ([]*types.Var, []*a
 // outermostField resolves expr to the outermost audited field it writes
 // through: for `s.Mem.PrefetchIssued` that is PrefetchIssued, with the
 // interior Mem treated as the access path. Index and star expressions
-// are unwrapped (`st.ABC[i]` writes through field ABC).
+// are unwrapped (`st.ABC[i]` writes through field ABC), except that when
+// interior components count as reads a dereference is an access path
+// too: `*o.ptr = v` writes the pointee and reads ptr.
 func (ff *fieldFlow) outermostField(p *Package, expr ast.Expr) (*types.Var, *ast.SelectorExpr) {
 	for {
 		switch e := expr.(type) {
@@ -179,6 +194,9 @@ func (ff *fieldFlow) outermostField(p *Package, expr ast.Expr) (*types.Var, *ast
 		case *ast.IndexExpr:
 			expr = e.X
 		case *ast.StarExpr:
+			if ff.countInner {
+				return nil, nil
+			}
 			expr = e.X
 		case *ast.SelectorExpr:
 			if fv := ff.fieldOf(p, e); fv != nil {
@@ -204,13 +222,16 @@ func (ff *fieldFlow) fieldOf(p *Package, sel *ast.SelectorExpr) *types.Var {
 	return fv
 }
 
-// markChain marks every selector in the chain rooted at sel as handled.
+// markChain marks sel as handled, and the interior of its chain too
+// unless interior components count as reads.
 func (ff *fieldFlow) markChain(sel *ast.SelectorExpr) {
 	if sel == nil {
 		return
 	}
 	ff.handled[sel] = true
-	markInner(sel, ff.handled)
+	if !ff.countInner {
+		markInner(sel, ff.handled)
+	}
 }
 
 // markInner marks the interior selectors of a chain.
@@ -226,8 +247,8 @@ func markInner(sel *ast.SelectorExpr, handled map[ast.Node]bool) {
 }
 
 // record appends one classified use.
-func (ff *fieldFlow) record(fv *types.Var, kind int, pos token.Pos) {
-	ff.uses = append(ff.uses, fieldUse{field: fv, kind: kind, pos: pos})
+func (ff *fieldFlow) record(fv *types.Var, kind int) {
+	ff.uses = append(ff.uses, fieldUse{field: fv, kind: kind})
 }
 
 // allSame reports whether every field in fields is fv.
@@ -261,8 +282,6 @@ func allSame(fields []*types.Var, fv *types.Var) bool {
 type flowSite struct {
 	// fn is the rendered name of the function the access occurred in.
 	fn string
-	// pos is the position of the access.
-	pos token.Pos
 }
 
 // flowSet is a transitive field-access closure: each accessed field
@@ -312,12 +331,12 @@ func (fe *flowEngine) closure(seeds []*funcInfo) (writes, reads flowSet, funcs [
 		name := funcName(nil, info.fn)
 		for _, u := range ft.writes {
 			if _, ok := writes[u.field]; !ok {
-				writes[u.field] = flowSite{fn: name, pos: u.pos}
+				writes[u.field] = flowSite{fn: name}
 			}
 		}
 		for _, u := range ft.reads {
 			if _, ok := reads[u.field]; !ok {
-				reads[u.field] = flowSite{fn: name, pos: u.pos}
+				reads[u.field] = flowSite{fn: name}
 			}
 		}
 		for _, callee := range ft.callees {
@@ -351,7 +370,7 @@ func computeFlowFacts(fi *funcIndex, info *funcInfo) *flowFacts {
 	recordWrite := func(lhs ast.Expr) {
 		fields, leaf := flowWriteTarget(p, lhs)
 		for _, fv := range fields {
-			ft.writes = append(ft.writes, fieldUse{field: fv, kind: accWrite, pos: lhs.Pos()})
+			ft.writes = append(ft.writes, fieldUse{field: fv, kind: accWrite})
 		}
 		if leaf != nil {
 			writeLeaves[leaf] = true
@@ -369,14 +388,14 @@ func computeFlowFacts(fi *funcIndex, info *funcInfo) *flowFacts {
 				if n.Tok != token.ASSIGN {
 					// Op-assigns (+=, -=, ...) read the old value too.
 					if fv, _ := flowLeafField(p, lhs); fv != nil {
-						ft.reads = append(ft.reads, fieldUse{field: fv, kind: accRead, pos: lhs.Pos()})
+						ft.reads = append(ft.reads, fieldUse{field: fv, kind: accRead})
 					}
 				}
 			}
 		case *ast.IncDecStmt:
 			recordWrite(n.X)
 			if fv, _ := flowLeafField(p, n.X); fv != nil {
-				ft.reads = append(ft.reads, fieldUse{field: fv, kind: accRead, pos: n.X.Pos()})
+				ft.reads = append(ft.reads, fieldUse{field: fv, kind: accRead})
 			}
 		}
 		return true
@@ -392,7 +411,7 @@ func computeFlowFacts(fi *funcIndex, info *funcInfo) *flowFacts {
 			return true
 		}
 		for _, fv := range selectionFields(s) {
-			ft.reads = append(ft.reads, fieldUse{field: fv, kind: accRead, pos: sel.Pos()})
+			ft.reads = append(ft.reads, fieldUse{field: fv, kind: accRead})
 		}
 		return true
 	})
@@ -523,9 +542,14 @@ func auditedFields(m *Module, pkgs map[*Package]bool, stats bool) ([]*types.Var,
 // path, outermost first: for `x.F` promoted through embedded E it yields
 // [E, F], so reads through embeddings credit their intermediates.
 func selectionFields(s *types.Selection) []*types.Var {
-	t := s.Recv()
+	return pathFields(s.Recv(), s.Index())
+}
+
+// pathFields returns the struct fields that the field indices in path
+// select, one level each, starting from type t.
+func pathFields(t types.Type, path []int) []*types.Var {
 	var out []*types.Var
-	for _, idx := range s.Index() {
+	for _, idx := range path {
 		if ptr, ok := t.Underlying().(*types.Pointer); ok {
 			t = ptr.Elem()
 		}

@@ -1,7 +1,8 @@
 // Package lint implements rarlint, a repo-specific static analyzer that
 // enforces the simulator's correctness contracts: determinism of
 // everything feeding the memoized simulation cache, hygiene of the
-// statistics structs that become report columns, coverage of every
+// statistics structs that become report columns and of the state no
+// shipped code reads, coverage of every
 // config knob the experiment sweeps claim to vary, error-return
 // discipline in the simulator packages, purity of the stall
 // fast-forward's event computation and the report read paths,
@@ -85,7 +86,7 @@ func Analyzers() []*Analyzer {
 		},
 		{
 			Name: "statshygiene",
-			Doc:  "Stats/Metrics fields that are written but never reported, or reported but never written",
+			Doc:  "Stats/Metrics fields written but never reported or reported but never written, and unexported internal state written but never read outside tests",
 			Run:  statsHygiene,
 		},
 		{

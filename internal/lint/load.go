@@ -28,8 +28,6 @@ import (
 type Package struct {
 	// Path is the full import path ("rarsim/internal/sim").
 	Path string
-	// Dir is the absolute directory the package was loaded from.
-	Dir string
 	// Files are the parsed non-test files, sorted by filename.
 	Files []*ast.File
 	// Types is the type-checked package.
@@ -351,7 +349,7 @@ func (l *loader) loadDir(dir string) (*Package, error) {
 		if len(typeErrs) > 0 {
 			return nil, fmt.Errorf("lint: type-checking %s: %w", pkgPath, typeErrs[0])
 		}
-		p := &Package{Path: pkgPath, Dir: dir, Files: fs, Types: tpkg, Info: info}
+		p := &Package{Path: pkgPath, Files: fs, Types: tpkg, Info: info}
 		for _, f := range fs {
 			l.mod.resolveDirectives(p, f, srcs[f])
 		}

@@ -296,7 +296,6 @@ type lockOp struct {
 type lockWalker struct {
 	a      *lockAnalysis
 	p      *Package
-	fd     *ast.FuncDecl
 	fresh  map[*types.Var]bool // locals freshly built from composite literals
 	entry  map[string]bool     // held at entry via //rarlint:locked
 	report func(token.Pos, string, ...any)
@@ -307,7 +306,7 @@ type lockWalker struct {
 // literal found inside it (each with an empty lock state: a literal may
 // run on another goroutine or after the caller returned).
 func (a *lockAnalysis) checkFunc(p *Package, fd *ast.FuncDecl, report func(token.Pos, string, ...any)) {
-	w := &lockWalker{a: a, p: p, fd: fd, entry: map[string]bool{}, report: report}
+	w := &lockWalker{a: a, p: p, entry: map[string]bool{}, report: report}
 	w.fresh = freshLocals(p, fd.Body)
 	st := newLockState()
 	if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
@@ -321,7 +320,7 @@ func (a *lockAnalysis) checkFunc(p *Package, fd *ast.FuncDecl, report func(token
 	for len(w.lits) > 0 {
 		lit := w.lits[0]
 		w.lits = w.lits[1:]
-		lw := &lockWalker{a: a, p: p, fd: fd, entry: map[string]bool{}, report: report}
+		lw := &lockWalker{a: a, p: p, entry: map[string]bool{}, report: report}
 		lw.fresh = freshLocals(p, lit.Body)
 		lw.stmt(lit.Body, newLockState())
 		w.lits = append(w.lits, lw.lits...)

@@ -51,3 +51,10 @@ func reader(o *outer) uint64 {
 	g := o.promoted
 	return g()
 }
+
+// total reads what the functions above only write. base (read through
+// the promotion in promoted) and ptr (read by the dereference in
+// wholeStruct) need no such reader: statshygiene counts both as read.
+func (o *outer) total() uint64 {
+	return o.in.a + o.in.b + o.count
+}

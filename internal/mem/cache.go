@@ -2,8 +2,8 @@
 // write-back caches with LRU replacement, miss-status holding registers
 // (MSHRs) with secondary-miss merging at the L1D, a stride/stream hardware
 // prefetcher (up to 16 streams, attachable at the LLC or at every level),
-// and a DDR3-style DRAM model with ranks, banks, open-row timing and data
-// bus serialisation.
+// and a DDR3-style DRAM model with page-interleaved banks served FCFS,
+// open-row timing and data bus serialisation.
 //
 // The hierarchy is a timing model: caches store tags, not data. An access
 // walks the levels at the moment the core executes the memory operation and
@@ -32,7 +32,6 @@ type cacheLine struct {
 
 // Cache is one set-associative, write-back, write-allocate cache level.
 type Cache struct {
-	name    string
 	ways    int
 	setMask uint64
 	latency uint64
@@ -45,26 +44,20 @@ type Cache struct {
 
 // NewCache builds a cache of sizeBytes with the given associativity and
 // access latency (cycles). sizeBytes must be a multiple of ways*LineSize
-// and the resulting set count must be a power of two.
+// and the resulting set count must be a power of two; name ("L1D", "L2",
+// ...) labels the panic when it is not.
 func NewCache(name string, sizeBytes, ways int, latency uint64) *Cache {
 	sets := sizeBytes / (ways * LineSize)
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("mem: " + name + ": set count must be a power of two")
 	}
 	return &Cache{
-		name:    name,
 		ways:    ways,
 		setMask: uint64(sets - 1),
 		latency: latency,
 		lines:   make([]cacheLine, sets*ways),
 	}
 }
-
-// Name returns the cache's name ("L1D", "L2", ...).
-func (c *Cache) Name() string { return c.name }
-
-// Latency returns the lookup latency in cycles.
-func (c *Cache) Latency() uint64 { return c.latency }
 
 func (c *Cache) set(addr uint64) []cacheLine {
 	s := (addr >> lineShift) & c.setMask
@@ -144,11 +137,3 @@ func (c *Cache) Accesses() uint64 { return c.accesses }
 
 // Misses returns the number of lookups that missed.
 func (c *Cache) Misses() uint64 { return c.misses }
-
-// MissRate returns misses/accesses.
-func (c *Cache) MissRate() float64 {
-	if c.accesses == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(c.accesses)
-}

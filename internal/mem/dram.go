@@ -7,8 +7,7 @@ package mem
 // line moves in 8 beats over the 64-bit bus: 4 memory cycles ≈ 14 CPU
 // cycles of data-bus occupancy.
 type DRAMConfig struct {
-	Ranks      int
-	BanksTotal int    // banks across all ranks
+	BanksTotal int    // banks; consecutive pages map to consecutive banks
 	PageBytes  uint64 // row-buffer size
 	TRP        uint64 // precharge, CPU cycles
 	TRCD       uint64 // activate, CPU cycles
@@ -20,7 +19,6 @@ type DRAMConfig struct {
 // DefaultDRAMConfig returns the Table II DDR3-1600 configuration.
 func DefaultDRAMConfig() DRAMConfig {
 	return DRAMConfig{
-		Ranks:      4,
 		BanksTotal: 32,
 		PageBytes:  4096,
 		TRP:        37,
@@ -47,10 +45,9 @@ type DRAM struct {
 	banks     []dramBank
 	busFreeAt uint64 //rarlint:quiescent memory-side state: advances only on stage-driven accesses; the stall-ending fill is covered by NextFillAt
 
-	reads    uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	writes   uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	rowHits  uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	totalLat uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
+	reads   uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
+	writes  uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
+	rowHits uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
 }
 
 // NewDRAM builds a DRAM model.
@@ -107,7 +104,6 @@ func (d *DRAM) Access(addr, now uint64, write bool) uint64 {
 		d.writes++
 	} else {
 		d.reads++
-		d.totalLat += done - now
 	}
 	return done
 }
@@ -125,12 +121,4 @@ func (d *DRAM) RowHitRate() float64 {
 		return 0
 	}
 	return float64(d.rowHits) / float64(t)
-}
-
-// AvgReadLatency returns the mean read latency in CPU cycles.
-func (d *DRAM) AvgReadLatency() float64 {
-	if d.reads == 0 {
-		return 0
-	}
-	return float64(d.totalLat) / float64(d.reads)
 }

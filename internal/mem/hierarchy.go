@@ -24,8 +24,6 @@ const (
 type Result struct {
 	// DoneAt is the cycle the data is available to the core.
 	DoneAt uint64 //rarlint:unit cycles
-	// HitLevel is 1..3 for a cache hit at that level, 4 for DRAM.
-	HitLevel int
 	// LLCMiss reports whether the access missed the last-level cache and
 	// went to memory.
 	LLCMiss bool
@@ -132,15 +130,14 @@ func (h *Hierarchy) Access(addr, now uint64, kind Kind) Result {
 
 	// L1D.
 	if avail, hit := h.L1D.Lookup(addr, now, isStore); hit {
-		return Result{DoneAt: avail, HitLevel: 1}
+		return Result{DoneAt: avail}
 	}
 
 	// Merge with an outstanding miss, or claim an MSHR.
 	if fill, merged := h.mshrs.Lookup(addr, now); merged {
-		return Result{DoneAt: fill, HitLevel: 4}
+		return Result{DoneAt: fill}
 	}
-	if h.mshrs.Outstanding(now) >= h.mshrs.Size() {
-		h.mshrs.full++
+	if !h.mshrs.Admit(now) {
 		return Result{MSHRStall: true}
 	}
 
@@ -162,7 +159,7 @@ func (h *Hierarchy) Access(addr, now uint64, kind Kind) Result {
 // t is the cycle the request leaves the L1.
 func (h *Hierarchy) fillFrom2(addr, t uint64, kind Kind) Result {
 	if avail, hit := h.L2.Lookup(addr, t, false); hit {
-		return Result{DoneAt: avail, HitLevel: 2}
+		return Result{DoneAt: avail}
 	}
 	t2 := t + h.cfg.L2Lat
 	res := h.fillFrom3(addr, t2, kind)
@@ -176,7 +173,7 @@ func (h *Hierarchy) fillFrom3(addr, t uint64, kind Kind) Result {
 		h.prefetch(h.pf.Train(addr, t), t, false)
 	}
 	if avail, hit := h.L3.Lookup(addr, t, false); hit {
-		return Result{DoneAt: avail, HitLevel: 3}
+		return Result{DoneAt: avail}
 	}
 	t3 := t + h.cfg.L3Lat
 	done := h.dram.Access(addr, t3, false)
@@ -184,7 +181,7 @@ func (h *Hierarchy) fillFrom3(addr, t uint64, kind Kind) Result {
 	if wb {
 		h.dram.Access(victim, t3, true)
 	}
-	return Result{DoneAt: done, HitLevel: 4, LLCMiss: true}
+	return Result{DoneAt: done, LLCMiss: true}
 }
 
 // insert installs a line into upper, spilling dirty victims into lower.

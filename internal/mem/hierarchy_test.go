@@ -12,15 +12,15 @@ func newTestHierarchy(pf PrefetchMode) *Hierarchy {
 func TestHierarchyLatencyLadder(t *testing.T) {
 	h := newTestHierarchy(PrefetchOff)
 	cold := h.Access(0x40000000, 100, KindLoad)
-	if !cold.LLCMiss || cold.HitLevel != 4 {
+	if !cold.LLCMiss {
 		t.Fatalf("cold access: %+v", cold)
 	}
 	coldLat := cold.DoneAt - 100
 
 	// After the fill, the same line hits in L1 at L1 latency.
 	warm := h.Access(0x40000000, cold.DoneAt+10, KindLoad)
-	if warm.HitLevel != 1 {
-		t.Fatalf("warm access level %d", warm.HitLevel)
+	if warm.LLCMiss {
+		t.Fatalf("warm access: %+v", warm)
 	}
 	if lat := warm.DoneAt - (cold.DoneAt + 10); lat != h.Config().L1DLat {
 		t.Errorf("L1 hit latency = %d", lat)
@@ -43,8 +43,9 @@ func TestHierarchyL2L3Hits(t *testing.T) {
 		now = r.DoneAt + 1
 	}
 	res := h.Access(addr, now, KindLoad)
-	if res.HitLevel != 2 {
-		t.Errorf("expected L2 hit after L1 eviction, got level %d", res.HitLevel)
+	cfg := h.Config()
+	if lat := res.DoneAt - now; lat != cfg.L1DLat+cfg.L2Lat {
+		t.Errorf("expected an L2 hit after L1 eviction (latency %d), got latency %d", cfg.L1DLat+cfg.L2Lat, lat)
 	}
 	if res.LLCMiss {
 		t.Error("L2 hit flagged as LLC miss")

@@ -17,9 +17,7 @@ type MSHRs struct {
 	live    int
 	minFill uint64
 
-	merges uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	full   uint64 //rarlint:quiescent back-pressure flag: recomputed on each stage-driven access
-	peak   int    //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
+	full uint64 //rarlint:quiescent back-pressure flag: recomputed on each stage-driven access
 }
 
 type mshrEntry struct {
@@ -66,33 +64,36 @@ func (m *MSHRs) Lookup(addr, now uint64) (fillAt uint64, merged bool) {
 	line := LineAddr(addr)
 	for i := range m.entries {
 		if m.entries[i].valid && m.entries[i].line == line {
-			m.merges++
 			return m.entries[i].fillAt, true
 		}
 	}
 	return 0, false
 }
 
-// Allocate reserves a register for the line holding addr, filling at cycle
-// fillAt. It reports false when the file is full (the access must retry).
-func (m *MSHRs) Allocate(addr, now, fillAt uint64) bool {
-	m.reap(now)
-	if m.live == m.size {
-		m.full++
-		return false
+// Admit reports whether a new miss at cycle now can claim a register.
+// When every register is outstanding the file is full: Admit counts a
+// full stall and the requester must retry the access later.
+func (m *MSHRs) Admit(now uint64) bool {
+	if m.Outstanding(now) < m.size {
+		return true
 	}
+	m.full++
+	return false
+}
+
+// Allocate reserves a register for the line holding addr, filling at cycle
+// fillAt. The requester must have been admitted at now.
+func (m *MSHRs) Allocate(addr, now, fillAt uint64) {
+	m.reap(now)
 	for i := range m.entries {
 		if !m.entries[i].valid {
 			m.entries[i] = mshrEntry{line: LineAddr(addr), fillAt: fillAt, valid: true}
-			break
+			m.live++
+			m.minFill = min(m.minFill, fillAt)
+			return
 		}
 	}
-	m.live++
-	m.minFill = min(m.minFill, fillAt)
-	if n := m.Outstanding(now); n > m.peak {
-		m.peak = n
-	}
-	return true
+	panic("mem: Allocate on a full MSHR file")
 }
 
 // NextFillAt returns the earliest cycle after now at which an in-flight
@@ -137,22 +138,8 @@ func (m *MSHRs) Outstanding(now uint64) int {
 	return n
 }
 
-// Size returns the register count.
-//
-//rarlint:pure
-func (m *MSHRs) Size() int { return m.size }
-
-// FullStalls returns how many allocations failed because the file was full.
+// FullStalls returns how many misses Admit turned away because the file
+// was full.
 //
 //rarlint:pure
 func (m *MSHRs) FullStalls() uint64 { return m.full }
-
-// Merges returns how many misses merged with an in-flight entry.
-//
-//rarlint:pure
-func (m *MSHRs) Merges() uint64 { return m.merges }
-
-// Peak returns the peak simultaneous occupancy observed.
-//
-//rarlint:pure
-func (m *MSHRs) Peak() int { return m.peak }

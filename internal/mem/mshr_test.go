@@ -8,9 +8,7 @@ import (
 
 func TestMSHRAllocateAndMerge(t *testing.T) {
 	m := NewMSHRs(4)
-	if !m.Allocate(0x1000, 10, 300) {
-		t.Fatal("allocation into empty file failed")
-	}
+	m.Allocate(0x1000, 10, 300)
 	fill, merged := m.Lookup(0x1010, 20) // same line
 	if !merged || fill != 300 {
 		t.Errorf("merge = %d,%v", fill, merged)
@@ -18,24 +16,28 @@ func TestMSHRAllocateAndMerge(t *testing.T) {
 	if _, merged := m.Lookup(0x2000, 20); merged {
 		t.Error("different line must not merge")
 	}
-	if m.Merges() != 1 {
-		t.Errorf("merges = %d", m.Merges())
-	}
 }
 
 func TestMSHRCapacity(t *testing.T) {
 	m := NewMSHRs(2)
-	if !m.Allocate(0x1000, 0, 100) || !m.Allocate(0x2000, 0, 100) {
-		t.Fatal("allocations failed")
+	for _, addr := range []uint64{0x1000, 0x2000} {
+		if !m.Admit(0) {
+			t.Fatalf("miss to %#x turned away from a file with a free register", addr)
+		}
+		m.Allocate(addr, 0, 100)
 	}
-	if m.Allocate(0x3000, 10, 100) {
-		t.Error("third allocation must fail in a 2-entry file")
+	if m.Admit(10) {
+		t.Error("a third miss must stall in a 2-entry file")
 	}
 	if m.FullStalls() != 1 {
 		t.Errorf("full stalls = %d", m.FullStalls())
 	}
 	if m.Outstanding(10) != 2 {
 		t.Errorf("outstanding = %d", m.Outstanding(10))
+	}
+	// Once the fills complete, the next miss is admitted without a stall.
+	if !m.Admit(100) || m.FullStalls() != 1 {
+		t.Errorf("after the fills: full stalls %d, want 1 and an admission", m.FullStalls())
 	}
 }
 
@@ -44,9 +46,10 @@ func TestMSHRReap(t *testing.T) {
 	m.Allocate(0x1000, 0, 50)
 	m.Allocate(0x2000, 0, 60)
 	// After the fills complete, the registers free up.
-	if !m.Allocate(0x3000, 100, 300) {
-		t.Error("completed fills must be reaped")
+	if !m.Admit(100) {
+		t.Error("completed fills must free their registers")
 	}
+	m.Allocate(0x3000, 100, 300)
 	if _, merged := m.Lookup(0x1000, 100); merged {
 		t.Error("completed fill must not merge")
 	}
@@ -55,25 +58,11 @@ func TestMSHRReap(t *testing.T) {
 	}
 }
 
-func TestMSHRPeak(t *testing.T) {
-	m := NewMSHRs(8)
-	for i := 0; i < 5; i++ {
-		m.Allocate(uint64(i)<<12, 0, 1000)
-	}
-	if m.Peak() != 5 {
-		t.Errorf("peak = %d", m.Peak())
-	}
-	if m.Size() != 8 {
-		t.Errorf("size = %d", m.Size())
-	}
-}
-
 // naiveMSHRs is the reference the watermarked file must reproduce: it
 // reaps the whole file on every access and scans it for every query.
 type naiveMSHRs struct {
-	entries      []mshrEntry
-	merges, full uint64
-	peak         int
+	entries []mshrEntry
+	full    uint64
 }
 
 func (m *naiveMSHRs) reap(now uint64) {
@@ -88,24 +77,29 @@ func (m *naiveMSHRs) lookup(addr, now uint64) (uint64, bool) {
 	m.reap(now)
 	for _, e := range m.entries {
 		if e.valid && e.line == LineAddr(addr) {
-			m.merges++
 			return e.fillAt, true
 		}
 	}
 	return 0, false
 }
 
-func (m *naiveMSHRs) allocate(addr, now, fillAt uint64) bool {
+func (m *naiveMSHRs) admit(now uint64) bool {
+	if m.outstanding(now) < len(m.entries) {
+		return true
+	}
+	m.full++
+	return false
+}
+
+func (m *naiveMSHRs) allocate(addr, now, fillAt uint64) {
 	m.reap(now)
 	for i := range m.entries {
 		if !m.entries[i].valid {
 			m.entries[i] = mshrEntry{line: LineAddr(addr), fillAt: fillAt, valid: true}
-			m.peak = max(m.peak, m.outstanding(now))
-			return true
+			return
 		}
 	}
-	m.full++
-	return false
+	panic("naive allocate on a full file")
 }
 
 func (m *naiveMSHRs) outstanding(now uint64) int {
@@ -128,7 +122,7 @@ func (m *naiveMSHRs) nextFillAt(now uint64) (fillAt uint64, ok bool) {
 }
 
 // TestMSHRWatermarkMatchesNaive drives the watermarked file and the naive
-// reference with the same random Lookup/Allocate/Outstanding/NextFillAt
+// reference with the same random Lookup/Admit+Allocate/Outstanding/NextFillAt
 // sequences — a clock that mostly advances but sometimes steps back, as
 // the core's same-cycle store drain does, fills due before, at and long
 // after the access, and few enough lines that merges and full stalls are
@@ -155,9 +149,14 @@ func TestMSHRWatermarkMatchesNaive(t *testing.T) {
 				rf, rok := ref.lookup(addr, now)
 				got, want = fmt.Sprint("Lookup ", f, ok), fmt.Sprint("Lookup ", rf, rok)
 			case 1:
+				// Admit, then Allocate when admitted, as Hierarchy.Access does.
 				fill := now + uint64(rnd.Intn(400)) - 5
-				got = fmt.Sprint("Allocate ", m.Allocate(addr, now, fill))
-				want = fmt.Sprint("Allocate ", ref.allocate(addr, now, fill))
+				ok, rok := m.Admit(now), ref.admit(now)
+				if ok && rok {
+					m.Allocate(addr, now, fill)
+					ref.allocate(addr, now, fill)
+				}
+				got, want = fmt.Sprint("Admit ", ok), fmt.Sprint("Admit ", rok)
 			case 2:
 				got = fmt.Sprint("Outstanding ", m.Outstanding(query))
 				want = fmt.Sprint("Outstanding ", ref.outstanding(query))
@@ -166,8 +165,8 @@ func TestMSHRWatermarkMatchesNaive(t *testing.T) {
 				rf, rok := ref.nextFillAt(query)
 				got, want = fmt.Sprint("NextFillAt ", f, ok), fmt.Sprint("NextFillAt ", rf, rok)
 			}
-			got += fmt.Sprint(" stalls ", m.FullStalls(), " merges ", m.Merges(), " peak ", m.Peak())
-			want += fmt.Sprint(" stalls ", ref.full, " merges ", ref.merges, " peak ", ref.peak)
+			got += fmt.Sprint(" stalls ", m.FullStalls())
+			want += fmt.Sprint(" stalls ", ref.full)
 			if got != want {
 				t.Fatalf("size %d step %d now %d: got %s, want %s", size, step, now, got, want)
 			}

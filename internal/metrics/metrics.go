@@ -84,32 +84,3 @@ func Ratio(a, b float64) float64 {
 	}
 	return a / b
 }
-
-// Max returns the largest value in xs (0 for an empty slice).
-//
-//rarlint:pure
-func Max(xs []float64) float64 {
-	m := 0.0
-	for i, x := range xs {
-		if i == 0 || x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the smallest value in xs (0 for an empty slice).
-//
-//rarlint:pure
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}

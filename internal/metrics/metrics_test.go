@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -63,16 +64,6 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if Max(xs) != 3 || Min(xs) != 1 {
-		t.Errorf("min/max = %v/%v", Min(xs), Max(xs))
-	}
-	if Max(nil) != 0 || Min(nil) != 0 {
-		t.Error("empty min/max must yield 0")
-	}
-}
-
 // Property: for positive inputs, hmean <= geomean <= amean (the classical
 // mean inequality), and all three lie within [min, max].
 func TestMeanInequality(t *testing.T) {
@@ -87,7 +78,7 @@ func TestMeanInequality(t *testing.T) {
 		h, g, a := HarmMean(xs), GeoMean(xs), ArithMean(xs)
 		const eps = 1e-9
 		return h <= g+eps && g <= a+eps &&
-			Min(xs)-eps <= h && a <= Max(xs)+eps
+			slices.Min(xs)-eps <= h && a <= slices.Max(xs)+eps
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -139,13 +139,3 @@ func ChipThroughputRel(baseline, system []core.Stats) float64 {
 	}
 	return sys / base
 }
-
-// LedgerAVFSum is a helper exposing the chip's summed derated rate, for
-// ad-hoc reporting.
-func LedgerAVFSum(stats []core.Stats) float64 {
-	var sum float64
-	for i := range stats {
-		sum += stats[i].AVF() * float64(stats[i].TotalBits)
-	}
-	return sum
-}

@@ -25,15 +25,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// Addf appends a row from a label and float values rendered with %.3f.
-func (t *Table) AddF(label string, vals ...float64) {
-	row := []string{label}
-	for _, v := range vals {
-		row = append(row, fmt.Sprintf("%.3f", v))
-	}
-	t.Rows = append(t.Rows, row)
-}
-
 // Write renders the table to w.
 func (t *Table) Write(w io.Writer) {
 	widths := make([]int, len(t.Header))
@@ -102,9 +93,3 @@ func F(v float64) string { return fmt.Sprintf("%.3f", v) }
 //
 //rarlint:pure
 func X(v float64) string { return fmt.Sprintf("%.2fx", v) }
-
-// Pct formats a ratio-relative-to-1 as a signed percentage
-// (1.335 -> "+33.5%").
-//
-//rarlint:pure
-func Pct(v float64) string { return fmt.Sprintf("%+.1f%%", (v-1)*100) }

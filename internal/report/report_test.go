@@ -34,14 +34,6 @@ func TestTableWrite(t *testing.T) {
 	}
 }
 
-func TestTableAddF(t *testing.T) {
-	tb := NewTable("", "x", "a", "b")
-	tb.AddF("row", 1.23456, 2)
-	if len(tb.Rows) != 1 || tb.Rows[0][1] != "1.235" || tb.Rows[0][2] != "2.000" {
-		t.Errorf("AddF row = %v", tb.Rows)
-	}
-}
-
 func TestCSVQuoting(t *testing.T) {
 	tb := NewTable("", "a", "b")
 	tb.AddRow(`comma,here`, `quote"inside`)
@@ -65,12 +57,6 @@ func TestFormatters(t *testing.T) {
 	}
 	if X(4.8) != "4.80x" {
 		t.Errorf("X = %q", X(4.8))
-	}
-	if Pct(1.335) != "+33.5%" {
-		t.Errorf("Pct = %q", Pct(1.335))
-	}
-	if Pct(0.907) != "-9.3%" {
-		t.Errorf("Pct = %q", Pct(0.907))
 	}
 }
 

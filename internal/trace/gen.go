@@ -17,7 +17,6 @@ const depRingSize = 64
 // stream. The stream is infinite (the program loops forever); the simulator
 // decides when to stop. A Generator is not safe for concurrent use.
 type Generator struct {
-	bench   Benchmark
 	rnd     *rng
 	kernels []kernelState
 
@@ -44,8 +43,6 @@ type Generator struct {
 
 	// wrong-path synthesiser
 	wp *wpSynth
-
-	emitted uint64
 }
 
 type kernelState struct {
@@ -71,7 +68,6 @@ func New(b Benchmark, seed uint64) *Generator {
 		panic("trace: benchmark " + b.Name + " has no kernels")
 	}
 	g := &Generator{
-		bench:        b,
 		rnd:          newRNG(seed),
 		lastLoadDest: isa.NoReg,
 	}
@@ -133,12 +129,6 @@ func validateKernel(bench string, k Kernel) {
 	}
 }
 
-// Benchmark returns the benchmark this generator walks.
-func (g *Generator) Benchmark() Benchmark { return g.bench }
-
-// Emitted returns the number of correct-path instructions generated so far.
-func (g *Generator) Emitted() uint64 { return g.emitted }
-
 func (g *Generator) activate(ki int) {
 	g.cur = ki
 	g.iter = 0
@@ -169,7 +159,6 @@ func (g *Generator) Next(in *isa.Inst) {
 			g.schedPos = (g.schedPos + 1) % len(g.schedule)
 		}
 		g.pushDest(isa.NoReg)
-		g.emitted++
 		return
 	}
 
@@ -212,7 +201,6 @@ func (g *Generator) Next(in *isa.Inst) {
 		if in.Taken {
 			g.slot = skipTo
 			g.pushDest(isa.NoReg)
-			g.emitted++
 			return
 		}
 	case isa.Nop:
@@ -223,7 +211,6 @@ func (g *Generator) Next(in *isa.Inst) {
 
 	g.pushDest(in.Dest)
 	g.slot++
-	g.emitted++
 }
 
 // NextBlock fills dst with the next len(dst) correct-path instructions —

@@ -193,20 +193,6 @@ func RunInjection(cfg CoreConfig, scheme Scheme, benchName string, camp Injectio
 	return inject.Run(cfg, scheme, b, camp)
 }
 
-// RunSampled simulates one cell SimPoint-style: `samples` detailed
-// windows of `measured` committed instructions (each preceded by a timed
-// `warmup`), separated by functional fast-forwards of `ff` instructions
-// that keep caches and predictors warm without cycle-accurate timing.
-// Statistics aggregate the measured windows only.
-func RunSampled(cfg CoreConfig, scheme Scheme, benchName string, samples int, ff, warmup, measured uint64, seed uint64) (Stats, error) {
-	b, err := trace.ByName(benchName)
-	if err != nil {
-		return Stats{}, err
-	}
-	c := core.New(cfg, scheme, b, seed)
-	return c.RunSampled(samples, ff, warmup, measured)
-}
-
 // EnergyModel estimates dynamic+static energy from a run's activity
 // counters (per-event picojoule model). See internal/energy.
 type EnergyModel = energy.Model

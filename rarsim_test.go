@@ -192,14 +192,3 @@ func TestTraceReplayEquivalence(t *testing.T) {
 		t.Errorf("trace name not propagated: %q", replay.Benchmark)
 	}
 }
-
-func TestRunSampledPublicAPI(t *testing.T) {
-	st, err := rarsim.RunSampled(rarsim.BaselineConfig(), rarsim.PRE, "leslie3d",
-		3, 40_000, 5_000, 10_000, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Committed != 30_000 {
-		t.Errorf("sampled committed = %d", st.Committed)
-	}
-}
