@@ -109,12 +109,16 @@ func (c *Core) nextEventCycle() uint64 {
 	// Dispatch: in-order, so only the pipe head matters. A structurally
 	// stalled head waits for a commit/completion/squash — all events in
 	// their own right. In runahead mode dispatch consumes (or drops) every
-	// instruction as long as the PRDQ has room.
+	// instruction as long as the PRDQ and the register file have room. A
+	// runahead head stalled on a full IQ is not quiescent: dispatchRunahead
+	// renames it and counts it in TotalDispatched before its IQ check, then
+	// undoes only the rename, so every stalled cycle counts it once more
+	// and skipping those cycles would change Stats.
 	if c.frontQ.len() > 0 {
 		u := c.frontQ.at(0)
 		stalled := false
 		if c.mode == modeRunahead {
-			stalled = len(c.prdq) >= c.cfg.PRDQ
+			stalled = c.runaheadDispatchStalled(u)
 		} else {
 			stalled = c.dispatchStalled(u)
 		}

@@ -30,13 +30,15 @@ func runFF(t *testing.T, scheme config.Scheme, benchName string, ff bool,
 }
 
 // TestFFEquivalence is the tentpole's correctness contract: for every
-// scheme, on both a memory-intensive and a compute-intensive benchmark,
-// a run with the stall fast-forward enabled must produce Stats — every
-// field, including CommitHash and the ACE/attribution counters — and a
-// cycle count byte-identical to the cycle-by-cycle run.
+// scheme, on memory-intensive and compute-intensive benchmarks, a run
+// with the stall fast-forward enabled must produce Stats — every field,
+// including CommitHash and the ACE/attribution counters — and a cycle
+// count byte-identical to the cycle-by-cycle run. PRE and RAR run out of
+// physical registers in runahead on soplex and lbm, so those two cover
+// the skip over a register-stalled runahead dispatch.
 func TestFFEquivalence(t *testing.T) {
 	schemes := append(config.Schemes(), config.RunaheadVariants()...)
-	for _, bn := range []string{"libquantum", "mcf", "exchange2"} {
+	for _, bn := range []string{"libquantum", "mcf", "exchange2", "soplex", "lbm"} {
 		for _, s := range schemes {
 			s, bn := s, bn
 			t.Run(bn+"/"+s.Name, func(t *testing.T) {
@@ -70,6 +72,21 @@ func TestFFSkipsAreSubstantial(t *testing.T) {
 	if skipped < total/4 {
 		t.Errorf("fast-forward skipped only %d of %d cycles on a memory-bound run",
 			skipped, total)
+	}
+}
+
+// TestFFSkipsRunaheadStalls: in runahead mode a dispatch head that waits
+// for a PRDQ entry or a physical register is quiescent until a drain,
+// a completion or the runahead exit, so RAR's long runahead intervals on
+// mcf and soplex must be skipped rather than ticked.
+func TestFFSkipsRunaheadStalls(t *testing.T) {
+	for _, bn := range []string{"mcf", "soplex"} {
+		_, c := runFF(t, config.RAR, bn, true, 5_000, 30_000)
+		total := c.CycleCount()
+		skipped := c.FFSkippedCycles()
+		if skipped < total/4 {
+			t.Errorf("RAR/%s: fast-forward skipped only %d of %d cycles", bn, skipped, total)
+		}
 	}
 }
 

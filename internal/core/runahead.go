@@ -191,21 +191,30 @@ func (c *Core) enterRunahead(blocking *uop) {
 	c.wrongPath = false
 }
 
+// runaheadDispatchStalled reports whether u cannot enter the PRDQ in
+// runahead mode: the PRDQ is full, or u needs a destination register and
+// none is free. Both are freed only by pipeline events (a PRDQ drain, a
+// completion, the runahead exit), so the stall fast-forward (ff.go) treats
+// such a head as quiescent, as dispatchStalled lets it in normal mode.
+//
+//rarlint:pure
+func (c *Core) runaheadDispatchStalled(u *uop) bool {
+	in := &u.inst
+	return len(c.prdq) >= c.cfg.PRDQ ||
+		(in.HasDest() && !c.regs.canAlloc(in.Dest.IsFp()))
+}
+
 // dispatchRunahead handles dispatch while in runahead mode: every
 // instruction is renamed (PRE renames the full stream), but only useful
 // instructions — loads and, in lean mode, SST slice hits; everything
 // except stores in non-lean mode — are sent to the issue queue. INV
 // instructions are dropped immediately.
 func (c *Core) dispatchRunahead(u *uop) bool {
-	if len(c.prdq) >= c.cfg.PRDQ {
+	if c.runaheadDispatchStalled(u) {
 		return false
 	}
 	in := &u.inst
 	u.runahead = true
-
-	if in.HasDest() && !c.regs.canAlloc(in.Dest.IsFp()) {
-		return false
-	}
 	u.src[0] = c.regs.lookup(in.Src1)
 	u.src[1] = c.regs.lookup(in.Src2)
 	if in.HasDest() {

@@ -83,10 +83,10 @@ func MatrixKeys(cores []config.Core, schemes []config.Scheme, benches []trace.Be
 		coreFP := fingerprint(&cores[i])
 		for j := range schemes {
 			for k := range benches {
-				h := newFNV64()
-				h.u64(coreFP)
-				h.u64(schemeFP[j])
-				h.u64(benchFP[k])
+				h := newWordHash()
+				h.word(coreFP)
+				h.word(schemeFP[j])
+				h.word(benchFP[k])
 				keys = append(keys, CellKey{
 					Core:         cores[i].Name,
 					Scheme:       schemes[j].Name,
@@ -213,8 +213,8 @@ type CellProgress struct {
 // stats/err are final; waiters block on it without holding the engine
 // lock, so distinct cells simulate concurrently. stats and err are
 // published under the engine lock before done is closed, so both the
-// post-done read (ordered by the close) and the locked fast-path read in
-// Run are race-free.
+// post-done read (ordered by the close) and the locked fast-path reads in
+// run and RunMatrixOn are race-free.
 type cellEntry struct {
 	done  chan struct{}
 	stats core.Stats
@@ -222,6 +222,26 @@ type cellEntry struct {
 	// expires is the negative-cache deadline of a failed cell; zero for
 	// successes and for failures recorded without a failure TTL.
 	expires time.Time
+}
+
+// memHit reports whether ent (nil for a key not in memory) holds a
+// finished, successful result, and counts the memory hit when it does.
+// In-flight, failed and absent entries are not hits: run waits on,
+// answers or simulates those. The caller reports the hit to OnCell once
+// it has released the lock.
+//
+//rarlint:locked mu
+func (e *Engine) memHit(ent *cellEntry) bool {
+	if ent == nil || ent.err != nil {
+		return false
+	}
+	select {
+	case <-ent.done:
+	default:
+		return false // still in flight
+	}
+	e.m.Hits++
+	return true
 }
 
 // FailedCellError is the error returned for a cell under a failure TTL
@@ -357,6 +377,11 @@ func (e *Engine) Run(cfg config.Core, scheme config.Scheme, bench trace.Benchmar
 func (e *Engine) run(pool *Pool, key CellKey, cfg config.Core, scheme config.Scheme, bench trace.Benchmark, opt Options) (core.Stats, error) {
 	e.mu.Lock()
 	ent, ok := e.cells[key]
+	if e.memHit(ent) {
+		e.mu.Unlock()
+		e.progress(key, "mem", 0, ent.stats)
+		return ent.stats, nil
+	}
 	if ok && ent.err != nil {
 		// A resolved failure sits in the negative cache (only failure
 		// entries outlive their runner with err set; in-flight entries
@@ -369,6 +394,7 @@ func (e *Engine) run(pool *Pool, key CellKey, cfg config.Core, scheme config.Sch
 		ok = false // retry window over: fall through and re-simulate
 	}
 	if ok {
+		// In flight: wait for the runner without holding the lock.
 		e.mu.Unlock()
 		<-ent.done
 		if ent.err != nil {
@@ -460,10 +486,13 @@ func (e *Engine) progress(key CellKey, source string, dur time.Duration, st core
 	})
 }
 
-// diskCell is the persisted form of one cell.
+// diskCell is the persisted form of one cell. StatsHash is the canonical
+// fingerprint of Stats, so a file whose numbers changed after it was
+// written reads as a miss instead of serving them.
 type diskCell struct {
 	Key        CellKey    `json:"key"`
 	Stats      core.Stats `json:"stats"`
+	StatsHash  uint64     `json:"statsHash"`
 	SimSeconds float64    `json:"simSeconds"`
 }
 
@@ -489,8 +518,10 @@ func sanitize(s string) string {
 
 // loadDisk reads a persisted cell, validating that the stored key is
 // exactly the requested one (guarding against filename collisions and
-// hand-edited files). Any failure is a plain miss. A hit refreshes the
-// cell's LRU position.
+// hand-edited files) and that the stored Stats still match their stored
+// fingerprint (guarding against corrupted numbers). Any failure is a
+// plain miss: the cell re-simulates and storeDisk rewrites the file. A hit
+// refreshes the cell's LRU position.
 func (e *Engine) loadDisk(key CellKey) (core.Stats, bool) {
 	if e.dir == "" {
 		return core.Stats{}, false
@@ -501,7 +532,7 @@ func (e *Engine) loadDisk(key CellKey) (core.Stats, bool) {
 		return core.Stats{}, false
 	}
 	var dc diskCell
-	if err := json.Unmarshal(data, &dc); err != nil || dc.Key != key {
+	if err := json.Unmarshal(data, &dc); err != nil || dc.Key != key || fingerprint(&dc.Stats) != dc.StatsHash {
 		return core.Stats{}, false
 	}
 	if e.store != nil {
@@ -518,7 +549,7 @@ func (e *Engine) storeDisk(key CellKey, st core.Stats, dur time.Duration) {
 	if e.dir == "" {
 		return
 	}
-	data, err := json.Marshal(diskCell{Key: key, Stats: st, SimSeconds: dur.Seconds()})
+	data, err := json.Marshal(diskCell{Key: key, Stats: st, StatsHash: fingerprint(&st), SimSeconds: dur.Seconds()})
 	if err != nil {
 		return
 	}
@@ -563,19 +594,45 @@ func (e *Engine) RunMatrix(cores []config.Core, schemes []config.Scheme, benches
 // slot: a cell served from memory, from disk or by an identical
 // in-flight simulation never waits behind unrelated work. The matrix's
 // keys come from one MatrixKeys call, so no cell is fingerprinted twice.
-// A nil pool reproduces RunMatrix exactly.
+// Memory hits are answered inline, before any worker starts, so a fully
+// warm matrix starts no goroutine. A nil pool reproduces RunMatrix
+// exactly.
 func (e *Engine) RunMatrixOn(pool *Pool, cores []config.Core, schemes []config.Scheme, benches []trace.Benchmark, opt Options) (*ResultSet, error) {
 	keys := MatrixKeys(cores, schemes, benches, opt)
+	rs := &ResultSet{cells: make(map[Key]core.Stats, len(keys))}
+
+	// One pass under the lock copies every finished, successful memory
+	// entry into the result set. rest keeps the cells left for the
+	// workers: in flight, negative-cached, on disk or to simulate.
+	rest := make([]int, 0, len(keys))
+	e.mu.Lock()
+	for i, k := range keys {
+		if ent := e.cells[k]; e.memHit(ent) {
+			rs.cells[Key{k.Core, k.Scheme, k.Bench}] = ent.stats
+		} else {
+			rest = append(rest, i)
+		}
+	}
+	e.mu.Unlock()
+	if e.OnCell != nil {
+		for i, j := 0, 0; i < len(keys); i++ {
+			if j < len(rest) && rest[j] == i {
+				j++
+				continue
+			}
+			k := keys[i]
+			e.progress(k, "mem", 0, rs.cells[Key{k.Core, k.Scheme, k.Bench}])
+		}
+	}
+	if len(rest) == 0 {
+		return rs, nil
+	}
 
 	par := opt.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par > len(keys) {
-		par = len(keys)
-	}
-
-	rs := &ResultSet{cells: make(map[Key]core.Stats, len(keys))}
+	par = min(par, len(rest))
 	var (
 		mu   sync.Mutex
 		wg   sync.WaitGroup
@@ -586,11 +643,11 @@ func (e *Engine) RunMatrixOn(pool *Pool, cores []config.Core, schemes []config.S
 		defer wg.Done()
 		for {
 			mu.Lock()
-			if len(errs) > 0 || next >= len(keys) {
+			if len(errs) > 0 || next >= len(rest) {
 				mu.Unlock()
 				return
 			}
-			i := next
+			i := rest[next]
 			next++
 			mu.Unlock()
 

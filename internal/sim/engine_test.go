@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -249,6 +250,27 @@ func TestFingerprintAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestFingerprintStringWords pins the string rules of the word encoding:
+// the length word keeps adjacent strings apart even when a whole word
+// moves from one to the next, and the bytes after the last full word
+// still feed the hash.
+func TestFingerprintStringWords(t *testing.T) {
+	type pair struct{ A, B string }
+	for _, c := range []struct {
+		name string
+		x, y pair
+	}{
+		{"a word moved between adjacent strings", pair{"baseline", ""}, pair{"", "baseline"}},
+		{"a character moved between adjacent strings", pair{"ab", "c"}, pair{"a", "bc"}},
+		{"the last byte after a full word", pair{"baseline-a", ""}, pair{"baseline-b", ""}},
+		{"the last byte of a full word", pair{"baselinf", ""}, pair{"baseline", ""}},
+	} {
+		if fingerprint(&c.x) == fingerprint(&c.y) {
+			t.Errorf("%s: %q and %q hash alike", c.name, c.x, c.y)
+		}
+	}
+}
+
 // cloneBench deep-copies a benchmark, so a test can change it in place
 // without touching the shared built-in definition.
 func cloneBench(t *testing.T, b trace.Benchmark) trace.Benchmark {
@@ -453,6 +475,105 @@ func TestEnginePersistence(t *testing.T) {
 	}
 	if m := e3.Metrics(); m.Simulated != 1 || m.DiskHits != 0 {
 		t.Errorf("corrupt entry: simulated=%d diskHits=%d, want 1/0", m.Simulated, m.DiskHits)
+	}
+}
+
+// stubCell is an instant simulation whose statistics differ per scheme
+// and benchmark.
+func stubCell(cfg config.Core, s config.Scheme, b trace.Benchmark, o Options) (core.Stats, error) {
+	return core.Stats{Scheme: s.Name, Benchmark: b.Name, Cycles: uint64(100*len(s.Name) + len(b.Name)), Committed: o.Instructions}, nil
+}
+
+// TestMatrixAnswersMemoryHitsInline: a matrix whose cells are partly in
+// memory serves those as hits from the calling goroutine, reported to
+// OnCell as "mem", simulates only the rest, and returns the result set a
+// cold engine returns.
+func TestMatrixAnswersMemoryHitsInline(t *testing.T) {
+	cores := []config.Core{config.Baseline()}
+	schemes := []config.Scheme{config.OoO, config.PRE, config.RAR}
+	benches := twoBenches(t)
+	opt := smallOpt()
+
+	var (
+		mu         sync.Mutex
+		sources    = map[string]int{}
+		workerHits int
+	)
+	e := NewEngine()
+	e.runCell = stubCell
+	e.OnCell = func(p CellProgress) {
+		// A goroutine's stack trace ends with the call that started it.
+		buf := make([]byte, 8<<10)
+		stack := string(buf[:runtime.Stack(buf, false)])
+		mu.Lock()
+		sources[p.Source]++
+		if p.Source == "mem" && strings.Contains(stack, "created by rarsim/internal/sim.(*Engine).RunMatrixOn") {
+			workerHits++
+		}
+		mu.Unlock()
+	}
+	if _, err := e.RunMatrix(cores, schemes[:1], benches, opt); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := e.RunMatrix(cores, schemes, benches, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := len(schemes) * len(benches)
+	if m := e.Metrics(); m.Simulated != uint64(cells) || m.Hits != uint64(len(benches)) {
+		t.Errorf("simulated=%d hits=%d, want %d/%d", m.Simulated, m.Hits, cells, len(benches))
+	}
+	mu.Lock()
+	if sources["mem"] != len(benches) || sources["sim"] != cells {
+		t.Errorf("OnCell sources = %v, want %d mem and %d sim", sources, len(benches), cells)
+	}
+	if workerHits != 0 {
+		t.Errorf("%d memory hits were answered by a matrix worker, want every one inline", workerHits)
+	}
+	mu.Unlock()
+
+	cold := NewEngine()
+	cold.runCell = stubCell
+	want, err := cold.RunMatrix(cores, schemes, benches, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rs.cells, want.cells) {
+		t.Errorf("partly warm result set differs from a cold engine's:\n got %v\nwant %v", rs.cells, want.cells)
+	}
+}
+
+// TestMatrixNegativeCachedCellStillFails: the inline hit pass never
+// answers a failed cell. A matrix holding one, beside a cell in memory,
+// serves the memory hit and fails with the negative cache's
+// FailedCellError, without simulating either cell again.
+func TestMatrixNegativeCachedCellStillFails(t *testing.T) {
+	e := NewEngine()
+	e.SetFailureTTL(time.Minute)
+	e.runCell = func(cfg config.Core, s config.Scheme, b trace.Benchmark, o Options) (core.Stats, error) {
+		if s.Name == config.RAR.Name {
+			return core.Stats{}, errors.New("boom")
+		}
+		return stubCell(cfg, s, b, o)
+	}
+	cores := []config.Core{config.Baseline()}
+	schemes := []config.Scheme{config.OoO, config.RAR}
+	benches := twoBenches(t)[:1]
+	opt := smallOpt()
+	opt.Parallelism = 1 // OoO simulates before RAR fails
+
+	for pass := 0; pass < 2; pass++ {
+		rs, err := e.RunMatrix(cores, schemes, benches, opt)
+		var fce *FailedCellError
+		if rs != nil || !errors.As(err, &fce) {
+			t.Fatalf("pass %d: rs=%v err=%v, want nil set and a FailedCellError", pass, rs, err)
+		}
+		if want := KeyFor(cores[0], config.RAR, benches[0], opt); fce.Key != want {
+			t.Errorf("pass %d: FailedCellError names %s, want %s", pass, fce.Key, want)
+		}
+	}
+	if m := e.Metrics(); m.Simulated != 1 || m.Errors != 1 || m.Hits != 1 || m.ErrHits != 1 {
+		t.Errorf("metrics = %+v, want 1 simulated, 1 error, 1 hit, 1 negative-cache hit", m)
 	}
 }
 

@@ -17,7 +17,7 @@ import "fmt"
 // key (names, options and the content hash of core config, scheme and
 // benchmark).
 func (k CellKey) ETag() string {
-	h := newFNV64()
+	h := newWordHash()
 	h.str(SchemaHash())
 	h.ptr(&k)
 	return quoteTag(h)
@@ -27,10 +27,10 @@ func (k CellKey) ETag() string {
 // order, into a single strong entity tag for the whole response: the
 // canonical hash of the schema hash and the key list.
 func MatrixETag(keys []CellKey) string {
-	h := newFNV64()
+	h := newWordHash()
 	h.str(SchemaHash())
 	h.ptr(&keys)
 	return quoteTag(h)
 }
 
-func quoteTag(h fnv64) string { return fmt.Sprintf("\"%016x\"", uint64(h)) }
+func quoteTag(h wordHash) string { return fmt.Sprintf("\"%016x\"", uint64(h)) }

@@ -1,21 +1,32 @@
 package sim
 
 // Canonical fingerprints of cell identities. Every identity hash in this
-// package — a cell's ConfigHash, its ETag, the matrix ETag and the cache
-// file name — is a 64-bit FNV-1a over one canonical encoding of Go values,
-// produced by a reflect walk that allocates nothing:
+// package — a cell's ConfigHash, its ETag, the matrix ETag, the cache file
+// name and the Stats check of a cache file — hashes one canonical
+// encoding of Go values as a sequence of 64-bit words, produced by a
+// reflect walk that allocates nothing:
 //
-//   - ints, uints and floats (as their IEEE-754 bits) as 8 little-endian
-//     bytes, bools as one byte;
-//   - strings, slices and arrays as an 8-byte length, then their bytes or
-//     elements;
+//   - ints, uints and floats (as their IEEE-754 bits) as one word each,
+//     bools as one word (0 or 1);
+//   - strings as a length word, then their bytes packed eight per word
+//     (little-endian, the last word zero-padded);
+//   - slices and arrays as a length word, then their elements;
 //   - structs as their fields in declaration order.
 //
 // The length prefixes make the encoding injective over any one type:
 // moving a character from one string to the next, or an element from one
-// slice to the next, changes the bytes hashed. Any other kind (pointers,
+// slice to the next, changes the words hashed. Any other kind (pointers,
 // maps, interfaces, funcs, channels) panics: the hashed types are plain
 // value structs, so meeting one is a bug, never bad input.
+//
+// Each word is one multiply–xorshift step. Every step is a bijection of
+// the state for a fixed word and of the word for a fixed state, so two
+// encodings of equal length that differ in a single word always hash
+// apart. There is no per-process seed: a key hashes to the same value in
+// every run, which keeps cache file names stable across restarts. The
+// word-at-a-time hash replaced a byte-at-a-time FNV-1a, so ConfigHash,
+// ETag and cache file name values from builds before it differ, and their
+// cache files are never read.
 
 import (
 	"fmt"
@@ -23,56 +34,55 @@ import (
 	"reflect"
 )
 
-// fnv64 is a 64-bit FNV-1a hash state.
-type fnv64 uint64
+// wordHash is the state of the word-at-a-time identity hash.
+type wordHash uint64
 
 const (
-	fnvOffset64 fnv64 = 14695981039346656037
-	fnvPrime64  fnv64 = 1099511628211
+	wordHashInit wordHash = 0x243F6A8885A308D3 // the fractional bits of π
+	wordHashMul  wordHash = 0x9E3779B97F4A7C15 // 2^64 / φ, odd
 )
 
-func newFNV64() fnv64 { return fnvOffset64 }
+func newWordHash() wordHash { return wordHashInit }
 
-// The loops below keep the state in a local, so it stays in a register
-// rather than going through *h once per byte.
-
-func (h *fnv64) byte(b byte) { *h = (*h ^ fnv64(b)) * fnvPrime64 }
-
-func (h *fnv64) u64(x uint64) {
-	s := *h
-	for i := 0; i < 8; i++ {
-		s = (s ^ fnv64(byte(x))) * fnvPrime64
-		x >>= 8
-	}
-	*h = s
+// word feeds one 64-bit word of the canonical encoding.
+func (h *wordHash) word(w uint64) {
+	s := (*h ^ wordHash(w)) * wordHashMul
+	*h = s ^ s>>29
 }
 
-func (h *fnv64) str(s string) {
-	h.u64(uint64(len(s)))
-	v := *h
-	for i := 0; i < len(s); i++ {
-		v = (v ^ fnv64(s[i])) * fnvPrime64
+// str feeds a string: its length word, then its bytes eight per word.
+func (h *wordHash) str(s string) {
+	h.word(uint64(len(s)))
+	for ; len(s) >= 8; s = s[8:] {
+		h.word(uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56)
 	}
-	*h = v
+	if len(s) > 0 {
+		var w uint64
+		for i := len(s) - 1; i >= 0; i-- {
+			w = w<<8 | uint64(s[i])
+		}
+		h.word(w)
+	}
 }
 
 // ptr feeds the canonical encoding of the value p points to.
-func (h *fnv64) ptr(p any) { h.value(reflect.ValueOf(p).Elem()) }
+func (h *wordHash) ptr(p any) { h.value(reflect.ValueOf(p).Elem()) }
 
-func (h *fnv64) value(v reflect.Value) {
+func (h *wordHash) value(v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Bool:
 		if v.Bool() {
-			h.byte(1)
+			h.word(1)
 		} else {
-			h.byte(0)
+			h.word(0)
 		}
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		h.u64(uint64(v.Int()))
+		h.word(uint64(v.Int()))
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		h.u64(v.Uint())
+		h.word(v.Uint())
 	case reflect.Float32, reflect.Float64:
-		h.u64(math.Float64bits(v.Float()))
+		h.word(math.Float64bits(v.Float()))
 	case reflect.String:
 		h.str(v.String())
 	case reflect.Struct:
@@ -81,7 +91,7 @@ func (h *fnv64) value(v reflect.Value) {
 		}
 	case reflect.Slice, reflect.Array:
 		n := v.Len()
-		h.u64(uint64(n))
+		h.word(uint64(n))
 		for i := 0; i < n; i++ {
 			h.value(v.Index(i))
 		}
@@ -92,7 +102,7 @@ func (h *fnv64) value(v reflect.Value) {
 
 // fingerprint returns the canonical hash of the value p points to.
 func fingerprint(p any) uint64 {
-	h := newFNV64()
+	h := newWordHash()
 	h.ptr(p)
 	return uint64(h)
 }

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -210,4 +213,113 @@ func TestMetricsWhileMatrixEvicts(t *testing.T) {
 		t.Errorf("after the matrix: simulated=%d entries=%d evicted=%d, want %d/2/%d",
 			m.Simulated, m.DiskEntries, m.Evicted, cells, cells-2)
 	}
+}
+
+// TestCorruptedStatsReSimulate: a cache file whose Stats changed after
+// they were written no longer matches its stored fingerprint. The next
+// request re-simulates, serves the original Stats and rewrites the file,
+// which the request after that loads from disk again.
+func TestCorruptedStatsReSimulate(t *testing.T) {
+	dir := t.TempDir()
+	cfg, bench, opt := config.Baseline(), twoBenches(t)[0], smallOpt()
+	want, err := stubEngine(t, dir).Run(cfg, config.OoO, bench, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e := stubEngine(t, dir)
+	path := e.cellPath(KeyFor(cfg, config.OoO, bench, opt))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := fmt.Sprintf(`"Cycles":%d,`, want.Cycles)
+	if !bytes.Contains(data, []byte(old)) {
+		t.Fatalf("cache file lacks %s:\n%s", old, data)
+	}
+	flipped := bytes.Replace(data, []byte(old), []byte(fmt.Sprintf(`"Cycles":%d,`, want.Cycles+1)), 1)
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Run(cfg, config.OoO, bench, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := e.Metrics(); m.Simulated != 1 || m.DiskHits != 0 {
+		t.Errorf("corrupted Stats: simulated=%d diskHits=%d, want 1/0", m.Simulated, m.DiskHits)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("served %+v, want the original %+v", got, want)
+	}
+
+	e2 := stubEngine(t, dir)
+	got, err = e2.Run(cfg, config.OoO, bench, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := e2.Metrics(); m.Simulated != 0 || m.DiskHits != 1 {
+		t.Errorf("rewritten file: simulated=%d diskHits=%d, want 0/1", m.Simulated, m.DiskHits)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("rewritten file served %+v, want %+v", got, want)
+	}
+}
+
+// FuzzLoadDisk throws arbitrary bytes at loadDisk as the cache file of
+// one key. Whatever the bytes, loadDisk either misses or returns exactly
+// the Stats stored for that key. The key is a literal rather than a
+// KeyFor result, so the committed corpus under testdata/fuzz still names
+// it after the identity hash changes. The file storeDisk writes is added
+// as a seed at run time, because its StatsHash does depend on the hash.
+func FuzzLoadDisk(f *testing.F) {
+	key := CellKey{Core: "baseline", Scheme: "RAR", Bench: "mcf", Instructions: 20_000, Warmup: 5_000, Seed: 42, ConfigHash: 0x0123456789abcdef}
+	// Every leaf of the stored Stats is distinct and non-zero, so a file
+	// that drops or moves any field changes what it decodes to.
+	var stored core.Stats
+	n := uint64(0)
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i))
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				fill(v.Index(i))
+			}
+		case reflect.String:
+			n++
+			v.SetString(fmt.Sprintf("s%d", n))
+		case reflect.Uint64:
+			n++
+			v.SetUint(n * 1_000_003)
+		default:
+			f.Fatalf("no fill for a %s", v.Type())
+		}
+	}
+	fill(reflect.ValueOf(&stored).Elem())
+
+	e, err := NewPersistentEngine(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	e.storeDisk(key, stored, time.Second)
+	path := e.cellPath(key)
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if st, ok := e.loadDisk(key); !ok || !reflect.DeepEqual(st, stored) {
+		f.Fatal("the file storeDisk wrote does not load back")
+	}
+	f.Add(valid)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if st, ok := e.loadDisk(key); ok && !reflect.DeepEqual(st, stored) {
+			t.Errorf("loadDisk accepted Stats other than the stored ones:\n got %+v\nwant %+v", st, stored)
+		}
+	})
 }
