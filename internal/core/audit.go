@@ -29,21 +29,22 @@ func (c *Core) audit() {
 
 	// The ready list is age-ordered, and holds every waiting uop whose
 	// wakeup filter has drained (checked against the IQ below).
-	listed := make(map[*uop]uint64, len(c.readyList))
-	for i, w := range c.readyList {
+	listed := make(map[uopRef]uint64, c.readyLen)
+	for i, w := range c.readyList[:c.readyLen] {
 		if i > 0 && c.readyList[i-1].seq > w.seq {
 			fail("ready list age order violated at %d: %d after %d",
 				i, w.seq, c.readyList[i-1].seq)
 		}
-		if w.u.seq == w.seq && w.u.state == uopDispatched {
-			listed[w.u] = w.seq
+		if u := c.arena.at(w.r); u.seq == w.seq && u.state == uopDispatched {
+			listed[w.r] = w.seq
 		}
 	}
 	// IQ: the queue is implicit — the ROB's waiting uops, then the
 	// PRDQ's — so check each entry as the walks below meet it, and that
 	// iqLive counts exactly them.
 	iqLen := 0
-	checkIQ := func(u *uop, runahead bool) {
+	checkIQ := func(r uopRef, runahead bool) {
+		u := c.arena.at(r)
 		iqLen++
 		if u.runahead != runahead {
 			fail("IQ seq=%d has runahead=%v, but ROB uops are normal-mode and PRDQ uops runahead", u.seq, u.runahead)
@@ -59,24 +60,56 @@ func (c *Core) audit() {
 		// Ready-list coverage: an entry whose wakeup filter has drained
 		// must be visible to the issue loop, or it would never issue.
 		if u.notReady == 0 {
-			if _, ok := listed[u]; !ok {
+			if _, ok := listed[r]; !ok {
 				fail("IQ seq=%d has notReady=0 but is missing from the ready list", u.seq)
 			}
 		}
 	}
 
+	// Arena conservation: every slot is either free or named exactly once
+	// by the ROB, the PRDQ or the front-end ring, so no uop leaks and none
+	// is in two places at once.
+	names := make([]int, len(c.arena.uops))
+	name := func(r uopRef, where string) {
+		if r < 0 || int(r) >= len(names) {
+			fail("%s names arena slot %d, outside the %d-uop arena", where, r, len(names))
+		}
+		names[r]++
+	}
+	for _, r := range c.arena.free[:c.arena.nFree] {
+		name(r, "the free list")
+	}
+	for k := 0; k < c.robCount; k++ {
+		name(c.rob[c.robSlot(k)], "the ROB")
+	}
+	for _, r := range c.prdq[:c.prdqLen] {
+		name(r, "the PRDQ")
+	}
+	for k := 0; k < c.frontQ.len(); k++ {
+		name(c.frontQ.at(k), "the front-end ring")
+	}
+	for r, n := range names {
+		if n != 1 {
+			fail("arena slot %d is named %d times by the free list, ROB, PRDQ and front-end ring, want once", r, n)
+		}
+	}
+	if live := c.robCount + c.prdqLen + c.frontQ.len(); c.arena.nFree+live != len(c.arena.uops) {
+		fail("%d free + %d live uops != %d arena slots", c.arena.nFree, live, len(c.arena.uops))
+	}
+
 	// ROB: occupancy matches, ages strictly increase, slots outside the
-	// ring are nil.
+	// ring are empty.
 	var prevSeq uint64
 	lq := 0
 	inROB := make(map[*uop]bool, c.robCount)
 	for i := 0; i < c.cfg.ROB; i++ {
 		idx := c.robSlot(i)
-		u := c.rob[idx]
+		r := c.rob[idx]
 		if i < c.robCount {
-			if u == nil {
-				fail("ROB slot %d (occupied region) is nil", idx)
+			if r == noUop {
+				fail("ROB slot %d (occupied region) is empty", idx)
 			}
+			u := c.arena.at(r)
 			if u.state == uopDead {
 				fail("dead uop seq=%d in ROB", u.seq)
 			}
@@ -88,23 +121,24 @@ func (c *Core) audit() {
 				lq++
 			}
 			if u.state == uopDispatched {
-				checkIQ(u, false)
+				checkIQ(r, false)
 			}
 			inROB[u] = true
-		} else if u != nil {
-			fail("ROB slot %d (free region) holds seq=%d", idx, u.seq)
+		} else if r != noUop {
+			fail("ROB slot %d (free region) holds seq=%d", idx, c.arena.at(r).seq)
 		}
 	}
 	if lq != c.lqCount {
 		fail("lqCount=%d but %d ROB loads hold LQ entries", c.lqCount, lq)
 	}
-	for _, u := range c.prdq {
+	for _, r := range c.prdq[:c.prdqLen] {
+		u := c.arena.at(r)
 		if u.seq <= prevSeq {
 			fail("PRDQ seq=%d is not younger than seq=%d before it", u.seq, prevSeq)
 		}
 		prevSeq = u.seq
 		if u.state == uopDispatched {
-			checkIQ(u, true)
+			checkIQ(r, true)
 		}
 	}
 	if iqLen != c.iqLive {
@@ -114,12 +148,16 @@ func (c *Core) audit() {
 		fail("IQ over capacity: %d > %d", iqLen, c.cfg.IQ)
 	}
 
-	// SQ: age-ordered stores within capacity.
-	if len(c.sqList) > c.cfg.SQ {
-		fail("SQ over capacity: %d > %d", len(c.sqList), c.cfg.SQ)
+	// SQ: age-ordered stores within capacity, each still in the ROB.
+	if c.sqLen > c.cfg.SQ {
+		fail("SQ over capacity: %d > %d", c.sqLen, c.cfg.SQ)
 	}
-	for i := 1; i < len(c.sqList); i++ {
-		if c.sqList[i].seq <= c.sqList[i-1].seq {
+	for i, r := range c.sqList[:c.sqLen] {
+		u := c.arena.at(r)
+		if !u.inSQ || !inROB[u] {
+			fail("SQ entry %d (seq=%d) is not a store in the ROB", i, u.seq)
+		}
+		if i > 0 && u.seq <= c.arena.at(c.sqList[i-1]).seq {
 			fail("SQ age order violated at %d", i)
 		}
 	}
@@ -139,10 +177,11 @@ func (c *Core) audit() {
 		}
 		counts[p]++
 	}
-	for _, p := range c.regs.freeInt {
+	freeInt, freeFp := c.regs.freeLists()
+	for _, p := range freeInt {
 		mark(free, p, "freeInt")
 	}
-	for _, p := range c.regs.freeFp {
+	for _, p := range freeFp {
 		mark(free, p, "freeFp")
 	}
 	for a := isa.Reg(0); a < isa.NumRegs; a++ {
@@ -151,8 +190,8 @@ func (c *Core) audit() {
 	for u := range inROB {
 		mark(owned, u.prevDest, "ROB prevDest")
 	}
-	for _, u := range c.prdq {
-		mark(owned, u.prevDest, "PRDQ prevDest")
+	for _, r := range c.prdq[:c.prdqLen] {
+		mark(owned, c.arena.at(r).prevDest, "PRDQ prevDest")
 	}
 	// During runahead the entry checkpoint keeps the pre-runahead
 	// architectural mappings live for the exit restore.
@@ -170,8 +209,8 @@ func (c *Core) audit() {
 				return true
 			}
 		}
-		for _, u := range c.prdq {
-			if int(u.dest) == i {
+		for _, r := range c.prdq[:c.prdqLen] {
+			if int(c.arena.at(r).dest) == i {
 				return true
 			}
 		}
@@ -199,10 +238,10 @@ func (c *Core) audit() {
 	}
 
 	// Mode coherence.
-	if c.mode == modeRunahead && c.blocking == nil {
+	if c.mode == modeRunahead && c.blocking == noUop {
 		fail("runahead mode without a blocking load")
 	}
-	if c.mode == modeNormal && len(c.prdq) != 0 {
-		fail("PRDQ non-empty in normal mode (%d entries)", len(c.prdq))
+	if c.mode == modeNormal && c.prdqLen != 0 {
+		fail("PRDQ non-empty in normal mode (%d entries)", c.prdqLen)
 	}
 }

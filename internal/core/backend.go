@@ -13,15 +13,15 @@ import (
 // in runahead mode dispatch is handled by dispatchRunahead (no ROB).
 func (c *Core) dispatchStage() {
 	for n := 0; n < c.cfg.Width && c.frontQ.len() > 0; n++ {
-		u := c.frontQ.at(0)
-		if u.frontReadyAt > c.cycle {
+		r := c.frontQ.at(0)
+		if c.arena.at(r).frontReadyAt > c.cycle {
 			break
 		}
 		var ok bool
 		if c.mode == modeNormal {
-			ok = c.dispatchNormal(u)
+			ok = c.dispatchNormal(r)
 		} else {
-			ok = c.dispatchRunahead(u)
+			ok = c.dispatchRunahead(r)
 		}
 		if !ok {
 			break // structural stall: retry next cycle, in order
@@ -43,13 +43,14 @@ func (c *Core) dispatchStalled(u *uop) bool {
 	return c.robCount == c.cfg.ROB ||
 		(!in.IsNop() && c.iqLive >= c.cfg.IQ) ||
 		(in.IsLoad() && c.lqCount >= c.cfg.LQ) ||
-		(in.IsStore() && len(c.sqList) >= c.cfg.SQ) ||
+		(in.IsStore() && c.sqLen >= c.cfg.SQ) ||
 		(in.HasDest() && !c.regs.canAlloc(in.Dest.IsFp()))
 }
 
-// dispatchNormal allocates back-end resources for u and renames it.
+// dispatchNormal allocates back-end resources for uop r and renames it.
 // Returns false on a structural stall (ROB/IQ/LQ/SQ/registers full).
-func (c *Core) dispatchNormal(u *uop) bool {
+func (c *Core) dispatchNormal(r uopRef) bool {
+	u := c.arena.at(r)
 	if c.dispatchStalled(u) {
 		return false
 	}
@@ -79,8 +80,7 @@ func (c *Core) dispatchNormal(u *uop) bool {
 	u.dispatchedAt = c.cycle
 	u.hbAtDispatch, u.fsAtDispatch = c.ledger.Cum()
 	c.s.TotalDispatched++
-	u.robIdx = c.robSlot(c.robCount)
-	c.rob[u.robIdx] = u
+	c.rob[c.robSlot(c.robCount)] = r
 	c.robCount++
 
 	if in.IsNop() {
@@ -93,10 +93,11 @@ func (c *Core) dispatchNormal(u *uop) bool {
 		u.inLQ = true
 	}
 	if in.IsStore() {
-		c.sqList = append(c.sqList, u)
+		c.sqList[c.sqLen] = r
+		c.sqLen++
 		u.inSQ = true
 	}
-	c.enqueueIQ(u)
+	c.enqueueIQ(r)
 	return true
 }
 
@@ -141,11 +142,11 @@ func (c *Core) srcsReady(u *uop) bool {
 }
 
 // waiter is one issue-queue wakeup registration. The seq guard makes stale
-// entries inert: uop records are pooled, so a squashed-and-recycled record
-// reachable from an old registration carries a different seq and is skipped.
+// entries inert: arena slots are recycled, so a squashed-and-recycled uop
+// named by an old registration carries a different seq and is skipped.
 type waiter struct {
-	u   *uop
 	seq uint64
+	r   uopRef
 }
 
 // enqueueIQ inserts u into the issue queue, registering its not-yet-ready
@@ -164,85 +165,136 @@ type waiter struct {
 // the queue's blocked majority; the confirm only runs for issue candidates.
 //
 //rarlint:hot
-func (c *Core) enqueueIQ(u *uop) {
+func (c *Core) enqueueIQ(r uopRef) {
+	u := c.arena.at(r)
 	u.state = uopDispatched
 	u.notReady = 0
 	for _, p := range u.src {
 		if p >= 0 && !c.regs.ready[p] {
 			u.notReady++
-			c.waiters[p] = append(c.waiters[p], waiter{u, u.seq})
+			if int(c.waitLen[p]) == c.waitCap {
+				c.makeWaiterRoom(p)
+			}
+			c.waitBuf[int(p)*c.waitCap+int(c.waitLen[p])] = waiter{u.seq, r}
+			c.waitLen[p]++
 		}
 	}
 	c.iqLive++
 	if u.notReady == 0 {
-		c.pushReady(u)
+		c.pushReady(r, u.seq)
 	}
+}
+
+// waiting reports whether w still names a uop waiting in the issue queue:
+// the incarnation that registered w, not yet issued or squashed. Every
+// other entry of a wakeup list, the ready list or the completion wheel is
+// stale.
+//
+//rarlint:pure
+func (c *Core) waiting(w waiter) bool {
+	u := c.arena.at(w.r)
+	return u.seq == w.seq && u.state == uopDispatched
+}
+
+// makeWaiterRoom makes room in physical register p's full wakeup list.
+// It first drops the list's stale entries, which markReady would skip: a
+// register whose producers keep being squashed before they complete never
+// reaches a markReady that would empty its list. Only a list still full
+// after that doubles the stride of every list.
+//
+//rarlint:hot
+func (c *Core) makeWaiterRoom(p int16) {
+	base, n := int(p)*c.waitCap, 0
+	for _, w := range c.waitBuf[base : base+c.waitCap] {
+		if c.waiting(w) {
+			c.waitBuf[base+n] = w
+			n++
+		}
+	}
+	c.waitLen[p] = int32(n)
+	if n == c.waitCap {
+		//rarlint:allow hotalloc high-water stride growth only; steady state registers in place
+		c.waitBuf = growStrided(c.waitBuf, c.waitLen, c.waitCap)
+		c.waitCap *= 2
+	}
+}
+
+// growStrided returns buf, a table of len(lens) rows at the given stride
+// whose row i holds lens[i] entries, re-laid out at twice the stride. The
+// wakeup lists and the completion wheel call it the first time one of
+// their rows would outgrow the stride.
+func growStrided(buf []waiter, lens []int32, stride int) []waiter {
+	grown := make([]waiter, 2*len(buf))
+	for i, n := range lens {
+		copy(grown[2*i*stride:], buf[i*stride:i*stride+int(n)])
+	}
+	return grown
 }
 
 // markReady publishes physical register p as ready and wakes the uops
 // registered as waiting on it. Registrations from squashed consumers are
-// inert (the pooled uop record carries a newer seq); registrations from
+// inert (waiting rejects them); registrations from
 // before a recycling of p are live and correct to wake (see enqueueIQ).
 // A uop whose last unready source arrives becomes an issue candidate.
 //
 //rarlint:hot
 func (c *Core) markReady(p int16) {
 	c.regs.ready[p] = true
-	ws := c.waiters[p]
-	for _, w := range ws {
-		if w.u.seq == w.seq && w.u.notReady > 0 {
-			w.u.notReady--
-			if w.u.notReady == 0 {
-				c.pushReady(w.u)
+	base := int(p) * c.waitCap
+	for _, w := range c.waitBuf[base : base+int(c.waitLen[p])] {
+		if u := c.arena.at(w.r); c.waiting(w) && u.notReady > 0 {
+			u.notReady--
+			if u.notReady == 0 {
+				c.pushReady(w.r, w.seq)
 			}
 		}
 	}
-	c.waiters[p] = ws[:0]
+	c.waitLen[p] = 0
 }
 
-// pushReady inserts u into the ready list, keeping it sorted by seq so
-// issue stays oldest-first. notReady never rises again once it reaches
-// zero, so each uop incarnation is pushed exactly once — at enqueue when
-// all sources are already ready, or at its final wakeup. Pushes are
-// near-sorted already (wakeups follow dispatch order closely), so the
-// insertion scan is almost always a plain append.
+// pushReady inserts uop r, of age seq, into the ready list, keeping it
+// sorted by seq so issue stays oldest-first. notReady never rises again
+// once it reaches zero, so each uop incarnation is pushed exactly once —
+// at enqueue when all sources are already ready, or at its final wakeup.
+// Pushes are near-sorted already (wakeups follow dispatch order closely),
+// so the insertion scan is almost always a plain append.
 //
 //rarlint:hot
-func (c *Core) pushReady(u *uop) {
-	i := len(c.readyList)
-	c.readyList = append(c.readyList, waiter{})
-	for i > 0 && c.readyList[i-1].seq > u.seq {
+func (c *Core) pushReady(r uopRef, seq uint64) {
+	i := c.readyLen
+	c.readyLen++
+	for i > 0 && c.readyList[i-1].seq > seq {
 		c.readyList[i] = c.readyList[i-1]
 		i--
 	}
-	c.readyList[i] = waiter{u, u.seq}
+	c.readyList[i] = waiter{seq, r}
 }
 
-// iqEntry returns the uop in issue-queue slot i, or nil when the slot is
+// iqEntry returns the uop in issue-queue slot i, or noUop when the slot is
 // empty. The queue is implicit: its entries are the dispatched uops still
 // waiting to issue, in seq order — the ROB's, then the PRDQ's (runahead
 // dispatches behind a frozen ROB, so every PRDQ uop is younger).
-func (c *Core) iqEntry(i int) *uop {
+func (c *Core) iqEntry(i int) uopRef {
 	if i < 0 || i >= c.iqLive {
-		return nil
+		return noUop
 	}
 	for k := 0; k < c.robCount; k++ {
-		if u := c.rob[c.robSlot(k)]; u.state == uopDispatched {
+		if r := c.rob[c.robSlot(k)]; c.arena.at(r).state == uopDispatched {
 			if i == 0 {
-				return u
+				return r
 			}
 			i--
 		}
 	}
-	for _, u := range c.prdq {
-		if u.state == uopDispatched {
+	for _, r := range c.prdq[:c.prdqLen] {
+		if c.arena.at(r).state == uopDispatched {
 			if i == 0 {
-				return u
+				return r
 			}
 			i--
 		}
 	}
-	return nil
+	return noUop
 }
 
 // issueStage selects up to Width ready uops, oldest first, and starts them
@@ -255,30 +307,31 @@ func (c *Core) issueStage() {
 	for i := range c.fuIssued {
 		c.fuIssued[i] = 0
 	}
-	issued := 0
-	kept := c.readyList[:0]
-	for _, w := range c.readyList {
-		u := w.u
-		if u.seq != w.seq || u.state != uopDispatched {
+	issued, kept := 0, 0
+	for _, w := range c.readyList[:c.readyLen] {
+		if !c.waiting(w) {
 			continue // stale: issued earlier, squashed, or recycled
 		}
+		u := c.arena.at(w.r)
 		if issued >= c.cfg.Width || u.retryAt > c.cycle ||
-			!c.srcsReady(u) || !c.tryIssue(u) {
-			kept = append(kept, w)
+			!c.srcsReady(u) || !c.tryIssue(w.r) {
+			c.readyList[kept] = w
+			kept++
 			continue
 		}
 		issued++
 		c.iqLive--
 	}
-	c.readyList = kept
+	c.readyLen = kept
 	if issued > 0 {
 		c.progress++
 	}
 }
 
-// tryIssue attempts to start u this cycle. It returns false when no unit
-// is free or the L1D is out of MSHRs.
-func (c *Core) tryIssue(u *uop) bool {
+// tryIssue attempts to start uop r this cycle. It returns false when no
+// unit is free or the L1D is out of MSHRs.
+func (c *Core) tryIssue(r uopRef) bool {
+	u := c.arena.at(r)
 	pool := poolOf(u.inst.Class)
 	fu := &c.fuPools[pool]
 	if fu.Pipelined {
@@ -340,13 +393,11 @@ func (c *Core) tryIssue(u *uop) bool {
 	} else {
 		c.fuBusyTill[pool] = u.doneAt
 	}
-	u.fuLatency = fu.Latency
 	u.state = uopIssued
 	u.issuedAt = c.cycle
 	u.hbAtIssue, u.fsAtIssue = c.ledger.Cum()
-	u.issueValid = true
 	c.s.TotalIssued++
-	c.scheduleCompletion(u)
+	c.scheduleCompletion(r)
 	if u.runahead {
 		c.s.RunaheadExecuted++
 	}
@@ -358,8 +409,8 @@ func (c *Core) tryIssue(u *uop) bool {
 // cache.
 func (c *Core) forwardFromStore(u *uop) (doneAt uint64, ok bool) {
 	block := u.inst.Addr >> 3
-	for i := len(c.sqList) - 1; i >= 0; i-- {
-		s := c.sqList[i]
+	for i := c.sqLen - 1; i >= 0; i-- {
+		s := c.arena.at(c.sqList[i])
 		if s.seq >= u.seq || s.state == uopDead {
 			continue
 		}
@@ -381,16 +432,15 @@ func (c *Core) forwardFromStore(u *uop) (doneAt uint64, ok bool) {
 // overflow list. A power of two so the bucket index is a mask.
 const cwSize = 256
 
-// cwBucketCap is each bucket's preallocated capacity (see NewWithHierarchy);
-// a bucket deeper than this grows normally and keeps the larger backing.
+// cwBucketCap is each bucket's initial capacity, the stride of Core.cwBuf.
 const cwBucketCap = 32
 
 // cwEntry is an overflow registration: doneAt is recorded at insertion so
 // migration never has to dereference a possibly-recycled uop.
 type cwEntry struct {
-	u      *uop
 	seq    uint64
 	doneAt uint64
+	r      uopRef
 }
 
 // scheduleCompletion registers an issued uop's completion on the wheel.
@@ -398,7 +448,8 @@ type cwEntry struct {
 // the entry lands in is drained before the index can wrap.
 //
 //rarlint:hot
-func (c *Core) scheduleCompletion(u *uop) {
+func (c *Core) scheduleCompletion(r uopRef) {
+	u := c.arena.at(r)
 	d := u.doneAt
 	if d <= c.cycle {
 		// Defensive: the scan-based predecessor completed a same-cycle
@@ -407,10 +458,14 @@ func (c *Core) scheduleCompletion(u *uop) {
 		d = c.cycle + 1
 	}
 	if d-c.cycle < cwSize {
-		i := d & (cwSize - 1)
-		c.cwBuckets[i] = append(c.cwBuckets[i], waiter{u, u.seq})
+		c.pushBucket(d&(cwSize-1), waiter{u.seq, r})
 	} else {
-		c.cwOverflow = append(c.cwOverflow, cwEntry{u, u.seq, d})
+		if c.cwOvLen == len(c.cwOverflow) {
+			//rarlint:allow hotalloc high-water capacity growth only; steady state spills in place
+			c.cwOverflow = append(c.cwOverflow, make([]cwEntry, len(c.cwOverflow))...)
+		}
+		c.cwOverflow[c.cwOvLen] = cwEntry{u.seq, d, r}
+		c.cwOvLen++
 		if d < c.cwOvMin {
 			c.cwOvMin = d
 		}
@@ -418,28 +473,42 @@ func (c *Core) scheduleCompletion(u *uop) {
 	c.cwCount++
 }
 
+// pushBucket appends w to completion-wheel bucket i.
+//
+//rarlint:hot
+func (c *Core) pushBucket(i uint64, w waiter) {
+	if int(c.cwLen[i]) == c.cwCap {
+		//rarlint:allow hotalloc high-water stride growth only; steady state schedules in place
+		c.cwBuf = growStrided(c.cwBuf, c.cwLen[:], c.cwCap)
+		c.cwCap *= 2
+	}
+	c.cwBuf[int(i)*c.cwCap+int(c.cwLen[i])] = w
+	c.cwLen[i]++
+}
+
 // migrateOverflow moves overflow completions that entered the wheel window
 // into their buckets and recomputes the watermark. An entry due exactly
 // now lands in this cycle's bucket, which completeStage drains right after
 // — identical timing to the scan-based predecessor.
 func (c *Core) migrateOverflow() {
-	kept := c.cwOverflow[:0]
+	kept := 0
 	min := noEvent
-	for _, e := range c.cwOverflow {
+	for _, e := range c.cwOverflow[:c.cwOvLen] {
 		if e.doneAt >= c.cycle+cwSize {
-			kept = append(kept, e)
+			c.cwOverflow[kept] = e
+			kept++
 			if e.doneAt < min {
 				min = e.doneAt
 			}
 			continue
 		}
-		if e.u.seq == e.seq && e.u.state == uopIssued {
-			c.cwBuckets[e.doneAt&(cwSize-1)] = append(c.cwBuckets[e.doneAt&(cwSize-1)], waiter{e.u, e.seq})
+		if u := c.arena.at(e.r); u.seq == e.seq && u.state == uopIssued {
+			c.pushBucket(e.doneAt&(cwSize-1), waiter{e.seq, e.r})
 		} else {
 			c.cwCount-- // stale: the uop was squashed (or recycled) while waiting
 		}
 	}
-	c.cwOverflow = kept
+	c.cwOvLen = kept
 	c.cwOvMin = min
 }
 
@@ -447,7 +516,7 @@ func (c *Core) migrateOverflow() {
 func (c *Core) completeStage() {
 	// Fast paths: nothing in flight at all, then nothing due this cycle.
 	// The wheel holds every pending completion in the bucket of its due
-	// cycle, so a cycle with no completions is two compares and a nil
+	// cycle, so a cycle with no completions is two compares and an empty
 	// bucket check — no scan, no compaction.
 	if c.cwCount == 0 {
 		return
@@ -456,40 +525,41 @@ func (c *Core) completeStage() {
 		c.migrateOverflow()
 	}
 	slot := c.cycle & (cwSize - 1)
-	b := c.cwBuckets[slot]
-	if len(b) == 0 {
+	nb := int(c.cwLen[slot])
+	if nb == 0 {
 		return
 	}
-	c.cwBuckets[slot] = b[:0]
-	c.cwCount -= len(b)
-	done := c.doneScratch[:0]
-	for _, w := range b {
-		// Stale entries — squashed uops, or recycled records carrying a
+	c.cwLen[slot] = 0
+	c.cwCount -= nb
+	base := int(slot) * c.cwCap
+	done := c.doneScratch
+	nd := 0
+	for _, w := range c.cwBuf[base : base+nb] {
+		// Stale entries — squashed uops, or recycled slots carrying a
 		// newer seq — drop here; live ones are exactly the issued uops
 		// whose doneAt is this cycle.
-		if w.u.seq != w.seq || w.u.state != uopIssued {
+		if u := c.arena.at(w.r); u.seq != w.seq || u.state != uopIssued {
 			continue
 		}
-		done = append(done, w.u)
+		done[nd] = w
+		nd++
 	}
-	c.doneScratch = done
-	if len(done) == 0 {
+	if nd == 0 {
 		return
 	}
 	c.progress++
 	// Resolve oldest-first: an older mispredicted branch squashes younger
 	// completions in the same cycle. The batch is small (bounded by uops
 	// finishing on one cycle), so an insertion sort beats sort.Slice.
-	for i := 1; i < len(done); i++ {
+	for i := 1; i < nd; i++ {
 		for j := i; j > 0 && done[j-1].seq > done[j].seq; j-- {
 			done[j-1], done[j] = done[j], done[j-1]
 		}
 	}
-	for _, u := range done {
-		if u.state == uopDead {
-			continue
+	for _, w := range done[:nd] {
+		if u := c.arena.at(w.r); u.state != uopDead {
+			c.completeUop(u)
 		}
-		c.completeUop(u)
 	}
 }
 
@@ -534,12 +604,12 @@ func (c *Core) recoverMispredict(u *uop) {
 // needs purging: the issue queue is implicit, and ready-list, wakeup and
 // completion-wheel entries of a squashed uop are made inert by their
 // seq/state guards and dropped when next walked, so a squash costs
-// O(squashed + SQ), not O(in-flight).
+// O(squashed), not O(in-flight).
 func (c *Core) squashYounger(seqB uint64) {
-	squashed := c.squashScratch[:0]
 	for c.robCount > 0 {
 		tail := c.robSlot(c.robCount - 1)
-		u := c.rob[tail]
+		r := c.rob[tail]
+		u := c.arena.at(r)
 		if u.seq <= seqB {
 			break
 		}
@@ -553,23 +623,15 @@ func (c *Core) squashYounger(seqB uint64) {
 		if u.inLQ {
 			c.lqCount--
 		}
-		u.state = uopDead
-		c.rob[tail] = nil
-		c.robCount--
-		squashed = append(squashed, u)
-	}
-	sq := c.sqList[:0]
-	for _, u := range c.sqList {
-		if u.state != uopDead {
-			sq = append(sq, u)
+		if u.inSQ {
+			c.sqLen-- // the SQ is in age order, so the squashed stores are its tail
 		}
+		u.state = uopDead
+		c.rob[tail] = noUop
+		c.robCount--
+		c.release(r)
 	}
-	c.sqList = sq
 	c.clearFrontQ()
-	for _, u := range squashed {
-		c.release(u)
-	}
-	c.squashScratch = squashed[:0]
 }
 
 // commitStage retires up to Width completed instructions from the ROB
@@ -583,38 +645,41 @@ func (c *Core) commitStage() {
 		if c.commitBarrier > 0 && c.s.Committed >= c.commitBarrier {
 			break
 		}
-		u := c.rob[c.robHead]
+		r := c.rob[c.robHead]
+		u := c.arena.at(r)
 		if u.state != uopCompleted {
 			break
 		}
 		if u.isStore() {
-			if len(c.storeBuf) >= c.cfg.PostCommitStoreBuffer {
+			if c.storeLen >= c.cfg.PostCommitStoreBuffer {
 				break
 			}
-			c.storeBuf = append(c.storeBuf, u.inst.Addr)
+			c.storeBuf[c.storeLen] = u.inst.Addr
+			c.storeLen++
 		}
-		c.commitUop(u)
-		c.rob[c.robHead] = nil
+		c.commitUop(r)
+		c.rob[c.robHead] = noUop
 		c.robHead++
 		if c.robHead == c.cfg.ROB {
 			c.robHead = 0
 		}
 		c.robCount--
-		c.release(u)
+		c.release(r)
 		c.progress++
 	}
 }
 
-func (c *Core) commitUop(u *uop) {
+func (c *Core) commitUop(r uopRef) {
+	u := c.arena.at(r)
 	in := &u.inst
 	if in.WrongPath {
 		//rarlint:allow hotalloc fatal model-bug exit, never taken on a healthy run
 		panic(fmt.Sprintf("core: committing wrong-path uop seq=%d pc=%#x cycle=%d mode=%d wrongPath=%v",
 			u.seq, in.PC, c.cycle, c.mode, c.wrongPath))
 	}
-	if len(u.inj) > 0 {
-		// The tagged bits reach architectural state: they were ACE.
-		c.resolveInjections(u, InjectCorrupt)
+	if len(c.injTags) > 0 {
+		// Any bits tagged onto u reach architectural state: they were ACE.
+		c.resolveInjections(r, InjectCorrupt)
 	}
 	// FNV-1a over (PC, class): the architectural commit-stream fingerprint.
 	h := c.s.CommitHash
@@ -647,9 +712,10 @@ func (c *Core) commitUop(u *uop) {
 		c.lqCount--
 	}
 	if u.inSQ {
-		for i, s := range c.sqList {
-			if s == u {
-				c.sqList = append(c.sqList[:i], c.sqList[i+1:]...)
+		for i, s := range c.sqList[:c.sqLen] {
+			if s == r {
+				copy(c.sqList[i:], c.sqList[i+1:c.sqLen])
+				c.sqLen--
 				break
 			}
 		}
@@ -672,9 +738,8 @@ func (c *Core) reportACE(u *uop) {
 	c.ledger.Add(ace.ROB, uint64(c.bits.ROBEntry),
 		now-u.dispatchedAt, hbNow-u.hbAtDispatch, fsNow-u.fsAtDispatch)
 
-	if !u.issueValid {
-		return
-	}
+	// Every committed non-NOP uop issued and completed, so its issue and
+	// completion snapshots are set.
 	// Issue-queue entry: dispatch → issue.
 	c.ledger.Add(ace.IQ, uint64(c.bits.IQEntry),
 		u.issuedAt-u.dispatchedAt, u.hbAtIssue-u.hbAtDispatch, u.fsAtIssue-u.fsAtDispatch)
@@ -690,9 +755,10 @@ func (c *Core) reportACE(u *uop) {
 	}
 
 	// Functional unit: bit width × execution cycles.
-	hbFU := minU64(u.fuLatency, u.hbAtDone-u.hbAtIssue)
-	fsFU := minU64(u.fuLatency, u.fsAtDone-u.fsAtIssue)
-	c.ledger.Add(ace.FU, c.fuWidth(u.inst.Class), u.fuLatency, hbFU, fsFU)
+	lat := c.fuPools[poolOf(u.inst.Class)].Latency
+	hbFU := minU64(lat, u.hbAtDone-u.hbAtIssue)
+	fsFU := minU64(lat, u.fsAtDone-u.fsAtIssue)
+	c.ledger.Add(ace.FU, c.fuWidth(u.inst.Class), lat, hbFU, fsFU)
 
 	// Physical register: writeback → commit of the producer.
 	if u.dest >= 0 {
@@ -706,7 +772,7 @@ func (c *Core) reportACE(u *uop) {
 
 // drainStores writes one committed store per cycle into the L1D.
 func (c *Core) drainStores() {
-	if len(c.storeBuf) == 0 {
+	if c.storeLen == 0 {
 		return
 	}
 	res := c.hier.Access(c.storeBuf[0], c.cycle, mem.KindStore)
@@ -714,11 +780,9 @@ func (c *Core) drainStores() {
 		return
 	}
 	c.progress++
-	// Compact instead of re-slicing so the buffer's capacity is reused
-	// forever (see dispatchStage); the buffer is bounded by
-	// PostCommitStoreBuffer entries, so the copy is cheap.
-	n := copy(c.storeBuf, c.storeBuf[1:])
-	c.storeBuf = c.storeBuf[:n]
+	// The buffer is bounded by PostCommitStoreBuffer entries, so the
+	// copy is cheap.
+	c.storeLen = copy(c.storeBuf, c.storeBuf[1:c.storeLen])
 }
 
 func minU64(a, b uint64) uint64 {

@@ -51,7 +51,7 @@ type Core struct {
 	hier   *mem.Hierarchy
 	ledger *ace.Ledger
 	regs   *regFile
-	pool   uopPool
+	arena  uopArena
 
 	//rarlint:nscaled the skip target itself: bulkAdvance jumps it to the bounded next-event cycle
 	cycle uint64 //rarlint:unit cycles
@@ -70,8 +70,11 @@ type Core struct {
 	// path, 0 while off-path means fetch reconverged onto the stream.
 	wpSynthetic int //rarlint:quiescent wrong-path fetch cursor: only stage-driven fetch consults it
 
-	// Back-end.
-	rob      []*uop
+	// Back-end. Every list below that names uops holds uopRefs and keeps
+	// its length in an int field beside a slice allocated at construction
+	// (or grown only to a new high-water mark), so the per-cycle work
+	// stores no pointer and rewrites no slice header.
+	rob      []uopRef
 	robHead  int
 	robCount int
 	// iqLive is the issue queue's occupancy: the dispatched uops still
@@ -82,16 +85,24 @@ type Core struct {
 	// discardRunahead) lower it. iqEntry lists the queue for IQ fault
 	// injection, and the audit checks the count against the same walk.
 	iqLive int
-	// readyList holds the issue candidates in seq order: every live
-	// dispatched uop whose notReady filter has hit zero. Entries are
+	// readyList[:readyLen] holds the issue candidates in seq order: every
+	// live dispatched uop whose notReady filter has hit zero. Entries are
 	// seq-guarded like waiter registrations — issued, squashed or recycled
 	// uops go stale and are dropped lazily as issueStage walks the list —
 	// so issueStage and the next-event probe scan a handful of candidates
-	// instead of the whole queue.
+	// instead of the whole queue. It is sized to the IQ: issueStage keeps
+	// only waiting uops, and every entry pushed before its next walk names
+	// a distinct uop that was in the issue queue since the last one
+	// (markReady, too, pushes only waiting uops).
 	//rarlint:survives seq-guarded: entries registered in runahead are inert after the squash recycles their uops
 	readyList []waiter
-	lqCount   int
-	sqList    []*uop // in-flight stores, age order, for forwarding
+	//rarlint:survives seq-guarded: entries registered in runahead are inert after the squash recycles their uops
+	readyLen int
+	lqCount  int
+	// sqList[:sqLen] holds the in-flight stores in age order, for
+	// forwarding.
+	sqList []uopRef //rarlint:quiescent store-queue entries: dispatch is bounded by their count, sqLen; only stage-driven issue reads them
+	sqLen  int
 	// Completion wheel: in-flight executions bucketed by completion cycle
 	// (a calendar queue), so completeStage touches exactly the uops due
 	// this cycle instead of scanning and compacting the whole in-flight
@@ -101,9 +112,16 @@ type Core struct {
 	// clock comes within a window of them. Entries are seq-guarded like
 	// waiter registrations — squashed or recycled uops go stale in place
 	// and are dropped when their bucket drains, which is why none of this
-	// needs rewinding at a flush or runahead exit.
-	cwBuckets  [cwSize][]waiter
+	// needs rewinding at a flush or runahead exit. Bucket i is
+	// cwBuf[i*cwCap:][:cwLen[i]]: the buckets share one backing at a fixed
+	// stride, which doubles (growStrided) the first time any bucket would
+	// outgrow it.
+	cwBuf []waiter //rarlint:quiescent completion-wheel entries: the probe bounds the skip by bucket occupancy, cwLen; only stage-driven completion reads them
+	cwLen [cwSize]int32
+	cwCap int //rarlint:quiescent completion-wheel stride: allocation layout with no timing content
+	// cwOverflow[:cwOvLen] is the spill list.
 	cwOverflow []cwEntry //rarlint:quiescent completion-wheel spill: its earliest deadline is covered separately via cwOvMin
+	cwOvLen    int       //rarlint:quiescent completion-wheel spill: its earliest deadline is covered separately via cwOvMin
 	// cwOvMin is the earliest doneAt in cwOverflow (noEvent when
 	// empty); it may go stale-low via squashed entries, which costs a
 	// redundant migration scan, never a missed completion.
@@ -112,34 +130,48 @@ type Core struct {
 	// completeStage has nothing to do at all.
 	cwCount int
 
-	// waiters holds, per physical register, the issue-queue uops waiting
-	// for it to become ready (see backend.go: enqueueIQ/markReady). Each
-	// entry is seq-guarded: uop records are pooled, so an entry only acts
-	// on the incarnation that registered it.
+	// The wakeup lists hold, per physical register p, the issue-queue
+	// uops waiting for it to become ready (see backend.go:
+	// enqueueIQ/markReady): waitBuf[p*waitCap:][:waitLen[p]]. Each entry
+	// is seq-guarded: arena slots are recycled, so an entry only acts on
+	// the incarnation that registered it. The stride is deliberately
+	// small: sizing every list for the 2*IQ worst case put registers ~3KB
+	// apart — a megabyte of backing whose appends missed cache on nearly
+	// every registration. Sixteen entries cover the common case with the
+	// whole backing L2-resident. A full list first drops its stale
+	// registrations (addWaiter), and the stride doubles (growStrided) only
+	// when a register holds more live ones.
 	//rarlint:survives seq-guarded: entries registered in runahead are inert after the squash recycles their uops
-	waiters [][]waiter //rarlint:quiescent wakeup lists: drained by stage-driven completion, whose timing fill and FU events cover
+	waitBuf []waiter //rarlint:quiescent wakeup lists: drained by stage-driven completion, whose timing fill and FU events cover
+	//rarlint:survives seq-guarded: entries registered in runahead are inert after the squash recycles their uops
+	waitLen []int32 //rarlint:quiescent wakeup lists: drained by stage-driven completion, whose timing fill and FU events cover
+	//rarlint:survives allocation layout with no architectural content
+	waitCap int //rarlint:quiescent wakeup-list stride: allocation layout with no timing content
 
 	// bpSnapArena backs the history snapshots of in-flight mispredicted
 	// branches, indexed by uop.bpSnap. Only mispredicts allocate a slot
 	// (a handful live at once), so the 72-byte Snapshot stays out of
-	// the uop record. Slots recycle through bpSnapFree when the owning
-	// uop is released; a freed slot's content is dead, so neither list
-	// needs restoring at runahead exit.
+	// the uop record. Slots recycle through bpSnapFree[:bpSnapFreeN] when
+	// the owning uop is released; a freed slot's content is dead, so
+	// neither list needs restoring at runahead exit. Both grow together,
+	// one slot at a time, to the high-water mark of live mispredicts.
 	bpSnapArena []branch.Snapshot //rarlint:quiescent snapshot allocator arena: allocation scratch with no timing content
 	bpSnapFree  []int32           //rarlint:quiescent snapshot allocator free list: allocation scratch with no timing content
+	bpSnapFreeN int               //rarlint:quiescent snapshot allocator free list: allocation scratch with no timing content
 
-	// doneScratch is completeStage's reusable completion buffer.
-	doneScratch []*uop //rarlint:quiescent per-cycle scratch buffer: dead between cycles
-	// squashScratch is the squash paths' reusable victim buffer: squashes
-	// happen on every mispredict, far too often to allocate a fresh slice.
-	squashScratch []*uop //rarlint:quiescent per-cycle scratch buffer: dead between cycles
+	// doneScratch is completeStage's reusable completion buffer, sized
+	// to the arena: no more uops can complete in one cycle.
+	doneScratch []waiter
 
 	fuPools [numFuPools]config.FUPool
 	//rarlint:quiescent per-cycle FU issue tally: recomputed from zero each busy cycle
 	fuIssued   [numFuPools]int    // pipelined pools: ops issued this cycle
 	fuBusyTill [numFuPools]uint64 //rarlint:unit cycles -- unpipelined pools: next free cycle
 
-	storeBuf []uint64 // post-commit store addresses awaiting L1D write
+	// storeBuf[:storeLen] holds the post-commit store addresses awaiting
+	// their L1D write, oldest first.
+	storeBuf []uint64 //rarlint:quiescent post-commit store addresses: the probe reads their count, storeLen; only drainStores reads them
+	storeLen int
 
 	// ROB-head blocking tracking.
 	headSeq uint64 //rarlint:nscaled watchdog bookkeeping: refreshed to the value n blocked ticks would leave
@@ -147,9 +179,12 @@ type Core struct {
 	headSince uint64 //rarlint:unit cycles
 
 	// Runahead machinery.
-	mode       mode
-	blocking   *uop // the load that triggered runahead
-	prdq       []*uop
+	mode     mode
+	blocking uopRef // the load that triggered runahead; noUop in normal mode
+	// prdq[:prdqLen] is the precise register deallocation queue: the
+	// runahead uops in dispatch order.
+	prdq       []uopRef //rarlint:survives entries past prdqLen are dead, and discardRunahead empties the queue by zeroing prdqLen
+	prdqLen    int
 	sstT       *sst
 	prod       *producers
 	lastWriter [isa.NumRegs]uint64 //rarlint:quiescent store-set training bookkeeping: consulted only during stage-driven dispatch
@@ -168,9 +203,12 @@ type Core struct {
 	// Width wide per cycle).
 	commitBarrier uint64
 
-	// Fault-injection campaign state (inject.go).
+	// Fault-injection campaign state (inject.go). injTags pairs each
+	// struck uop's arena slot with a sample it carries until the uop
+	// commits or is squashed; it is empty outside injection campaigns.
 	injSamples []InjectSample
 	injNext    int
+	injTags    []injTag //rarlint:quiescent injection tag list: resolved at commit or squash, never consulted by timing decisions
 
 	// auditEvery enables the invariant checker (audit.go) every N cycles.
 	auditEvery uint64
@@ -332,52 +370,45 @@ func NewFromSource(cfg config.Core, scheme config.Scheme, name string, gen trace
 // (mem.NewHierarchyWithShared).
 func NewWithHierarchy(cfg config.Core, scheme config.Scheme, name string, gen trace.Source, h *mem.Hierarchy) *Core {
 	c := &Core{
-		cfg:     cfg,
-		scheme:  scheme,
-		bits:    ace.DefaultBits(),
-		gen:     gen,
-		stream:  newStreamBuf(gen),
-		bp:      branch.NewPredictor(),
-		btb:     branch.NewBTB(12),
-		hier:    h,
-		ledger:  ace.NewLedger(),
-		regs:    newRegFile(cfg.IntRegs, cfg.FpRegs),
-		rob:     make([]*uop, cfg.ROB),
-		waiters: make([][]waiter, cfg.IntRegs+cfg.FpRegs),
-		sstT:    newSST(cfg.SST),
-		prod:    newProducers(12),
+		cfg:        cfg,
+		scheme:     scheme,
+		bits:       ace.DefaultBits(),
+		gen:        gen,
+		stream:     newStreamBuf(gen),
+		bp:         branch.NewPredictor(),
+		btb:        branch.NewBTB(12),
+		hier:       h,
+		ledger:     ace.NewLedger(),
+		regs:       newRegFile(cfg.IntRegs, cfg.FpRegs),
+		rob:        make([]uopRef, cfg.ROB),
+		readyList:  make([]waiter, cfg.IQ),
+		sqList:     make([]uopRef, cfg.SQ),
+		prdq:       make([]uopRef, cfg.PRDQ),
+		storeBuf:   make([]uint64, cfg.PostCommitStoreBuffer),
+		blocking:   noUop,
+		cwBuf:      make([]waiter, cwSize*cwBucketCap),
+		cwCap:      cwBucketCap,
+		cwOverflow: make([]cwEntry, cfg.ROB),
+		cwOvMin:    noEvent,
+		waitBuf:    make([]waiter, (cfg.IntRegs+cfg.FpRegs)*waitListCap),
+		waitLen:    make([]int32, cfg.IntRegs+cfg.FpRegs),
+		waitCap:    waitListCap,
+		sstT:       newSST(cfg.SST),
+		prod:       newProducers(12),
 	}
 	if b, ok := gen.(trace.BlockSource); ok {
 		c.genBlk = b
 	}
-	c.cwOvMin = noEvent
-	// Pre-size the completion-wheel buckets out of one contiguous backing
-	// array. Unlike a single flat list, 256 independent slices each chase
-	// their own high-water mark — without preallocation, rare
-	// (bucket, depth) combinations keep allocating far into steady state.
-	cwBacking := make([]waiter, cwSize*cwBucketCap)
-	for i := range c.cwBuckets {
-		c.cwBuckets[i] = cwBacking[i*cwBucketCap : i*cwBucketCap : (i+1)*cwBucketCap]
+	for i := range c.rob {
+		c.rob[i] = noUop
 	}
-	c.cwOverflow = make([]cwEntry, 0, cfg.ROB)
 	// Fetch checks the soft cap before a group and then pushes up to one
 	// full group, so frontQCap()+Width bounds occupancy.
 	c.frontQ = newFrontRing(c.frontQCap() + cfg.Width)
 	c.wpScratch = make([]isa.Inst, cfg.Width)
-	// Pre-size every per-register waiter list out of one contiguous
-	// backing array, so the lists stop allocating on the hot path as rare
-	// combinations set new high-water marks. The per-register capacity is
-	// deliberately small: sizing every list for the 2*IQ worst case put
-	// registers ~3KB apart — a megabyte of backing whose appends missed
-	// cache on nearly every registration. Sixteen entries cover the
-	// common case with the whole backing L2-resident; the rare register
-	// that collects more waiters grows its own slice once and keeps it.
-	nRegs := cfg.IntRegs + cfg.FpRegs
-	const wcap = 16
-	backing := make([]waiter, nRegs*wcap)
-	for i := range c.waiters {
-		c.waiters[i] = backing[i*wcap : i*wcap : (i+1)*wcap]
-	}
+	n := c.arenaSize()
+	c.arena = newUopArena(n)
+	c.doneScratch = make([]waiter, n)
 	c.fuPools[fuIntAdd] = cfg.IntAdd
 	c.fuPools[fuIntMult] = cfg.IntMult
 	c.fuPools[fuIntDiv] = cfg.IntDiv
@@ -394,6 +425,20 @@ func NewWithHierarchy(cfg config.Core, scheme config.Scheme, name string, gen tr
 		IntFUs: cfg.IntFUCount(), FpFUs: cfg.FpFUCount(),
 	})
 	return c
+}
+
+// waitListCap is the initial per-register stride of the wakeup lists.
+const waitListCap = 16
+
+// arenaSize is the number of uops the core can have in flight at once:
+// the ROB, the front-end ring's hard bound (see frontRing) and, for
+// schemes that enter runahead, the PRDQ. No other structure holds a uop.
+func (c *Core) arenaSize() int {
+	n := c.cfg.ROB + c.frontQCap() + c.cfg.Width
+	if c.scheme.Runahead {
+		n += c.cfg.PRDQ
+	}
+	return n
 }
 
 // watchdogWindow is the commit-progress deadline: if no core commits for
@@ -675,7 +720,7 @@ func (c *Core) robHeadUop() *uop {
 	if c.robCount == 0 {
 		return nil
 	}
-	return c.rob[c.robHead]
+	return c.arena.at(c.rob[c.robHead])
 }
 
 // robSlot returns the ring index of the k-th oldest ROB entry; k ==

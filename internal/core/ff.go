@@ -85,7 +85,7 @@ func (c *Core) nextEventCycle() uint64 {
 
 	// Post-commit stores drain one per cycle; a non-empty buffer acts
 	// every cycle.
-	if len(c.storeBuf) > 0 {
+	if c.storeLen > 0 {
 		return busy
 	}
 
@@ -115,7 +115,7 @@ func (c *Core) nextEventCycle() uint64 {
 	// undoes only the rename, so every stalled cycle counts it once more
 	// and skipping those cycles would change Stats.
 	if c.frontQ.len() > 0 {
-		u := c.frontQ.at(0)
+		u := c.arena.at(c.frontQ.at(0))
 		stalled := false
 		if c.mode == modeRunahead {
 			stalled = c.runaheadDispatchStalled(u)
@@ -151,7 +151,7 @@ func (c *Core) nextEventCycle() uint64 {
 	// changes nothing.
 	if c.cwCount > 0 {
 		for k := uint64(1); k < cwSize; k++ {
-			if len(c.cwBuckets[(c.cycle+k)&(cwSize-1)]) == 0 {
+			if c.cwLen[(c.cycle+k)&(cwSize-1)] == 0 {
 				continue
 			}
 			if ev := c.cycle + k; ev <= busy {
@@ -174,9 +174,12 @@ func (c *Core) nextEventCycle() uint64 {
 	// with unready sources wake only via a producer's completion, which is
 	// itself an execution event above — so only the ready list (the exact
 	// candidate set issueStage scans) needs walking, not the whole queue.
-	for _, w := range c.readyList {
-		u := w.u
-		if u.seq != w.seq || u.state != uopDispatched || !c.srcsReady(u) {
+	for _, w := range c.readyList[:c.readyLen] {
+		if !c.waiting(w) {
+			continue
+		}
+		u := c.arena.at(w.r)
+		if !c.srcsReady(u) {
 			continue
 		}
 		ev := max(busy, u.retryAt)

@@ -14,16 +14,17 @@ import (
 // quickly; their wrong paths are synthesised.
 const hammockSpan = 16 * isa.InstBytes
 
-// frontRing is the front-end pipe: a fixed-capacity FIFO of in-flight
-// decoded uops between fetch and dispatch. It replaces an append/copy-down
-// slice — the old dispatch pop copied the whole queue down every cycle the
-// core dispatched, which on busy cycles was pure overhead. The ring is
+// frontRing is the front-end pipe: a fixed-capacity FIFO of the in-flight
+// decoded uops between fetch and dispatch, named by their arena slots. It
+// replaces an append/copy-down slice — the old dispatch pop copied the
+// whole queue down every cycle the core dispatched, which on busy cycles
+// was pure overhead. The ring is
 // sized to a power of two at construction so indexing is a mask, and its
 // capacity (frontQCap plus one full fetch group) is a hard bound: fetch
 // checks the soft cap before a group, so occupancy never exceeds
 // frontQCap-1+Width.
 type frontRing struct {
-	buf  []*uop
+	buf  []uopRef
 	head int
 	n    int
 }
@@ -33,7 +34,7 @@ func newFrontRing(capacity int) frontRing {
 	for size < capacity {
 		size <<= 1
 	}
-	return frontRing{buf: make([]*uop, size)}
+	return frontRing{buf: make([]uopRef, size)}
 }
 
 //rarlint:pure
@@ -43,10 +44,10 @@ func (r *frontRing) len() int { return r.n }
 //
 //rarlint:pure
 //rarlint:hot
-func (r *frontRing) at(i int) *uop { return r.buf[(r.head+i)&(len(r.buf)-1)] }
+func (r *frontRing) at(i int) uopRef { return r.buf[(r.head+i)&(len(r.buf)-1)] }
 
 //rarlint:hot
-func (r *frontRing) push(u *uop) {
+func (r *frontRing) push(u uopRef) {
 	if r.n == len(r.buf) {
 		panic("core: front-end ring overflow")
 	}
@@ -57,9 +58,8 @@ func (r *frontRing) push(u *uop) {
 // popFront removes and returns the dispatch head.
 //
 //rarlint:hot
-func (r *frontRing) popFront() *uop {
+func (r *frontRing) popFront() uopRef {
 	u := r.buf[r.head]
-	r.buf[r.head] = nil
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return u
@@ -99,14 +99,14 @@ func (c *Core) fetchStage() {
 	c.progress++ // past the early-outs, the group always fetches
 	for n := 0; n < c.cfg.Width; n++ {
 		in, idx := c.stream.next()
-		u := c.newUop()
+		r, u := c.newUop()
 		u.inst = in
 		u.streamIdx = idx
 		u.frontReadyAt = c.cycle + uint64(c.cfg.FrontEndDepth)
 		c.s.TotalFetched++
 
 		if !in.IsBranch() {
-			c.frontQ.push(u)
+			c.frontQ.push(r)
 			continue
 		}
 
@@ -123,7 +123,7 @@ func (c *Core) fetchStage() {
 			c.bpSnapArena[u.bpSnap] = c.bp.Snapshot()
 		}
 		c.bp.ShiftHistory(pred, in.PC)
-		c.frontQ.push(u)
+		c.frontQ.push(r)
 
 		if pred != in.Taken {
 			c.startWrongPath(&in, pred)
@@ -231,11 +231,11 @@ func (c *Core) fetchWrongPathGroup() {
 			// marked wrong-path.
 			in, idx := c.stream.next()
 			in.WrongPath = true
-			u := c.newUop()
+			r, u := c.newUop()
 			u.inst = in
 			u.streamIdx = idx
 			u.frontReadyAt = c.cycle + uint64(c.cfg.FrontEndDepth)
-			c.frontQ.push(u)
+			c.frontQ.push(r)
 			c.s.WrongPathFetched++
 			c.s.TotalFetched++
 			n++
@@ -255,10 +255,10 @@ func (c *Core) fetchWrongPathGroup() {
 			}
 		}
 		for i := 0; i < k; i++ {
-			u := c.newUop()
+			r, u := c.newUop()
 			u.inst = c.wpScratch[i]
 			u.frontReadyAt = c.cycle + uint64(c.cfg.FrontEndDepth)
-			c.frontQ.push(u)
+			c.frontQ.push(r)
 			c.s.WrongPathFetched++
 			c.s.TotalFetched++
 		}
@@ -277,37 +277,39 @@ func (c *Core) clearWrongPath() {
 	c.wpSynthetic = 0
 }
 
-// newUop takes a fresh uop from the pool with operand fields initialised
-// to "absent".
-func (c *Core) newUop() *uop {
-	u := c.pool.get()
+// newUop takes a fresh uop from the arena with operand fields initialised
+// to "absent", and returns its slot and the uop.
+func (c *Core) newUop() (uopRef, *uop) {
+	r := c.arena.get()
+	u := c.arena.at(r)
 	c.seq++
 	u.seq = c.seq
 	u.src = [2]int16{-1, -1}
 	u.dest, u.prevDest = -1, -1
-	u.robIdx = -1
 	u.bpSnap = -1
-	return u
+	return r, u
 }
 
 // allocBpSnap reserves a snapshot-arena slot for a mispredicted branch.
+// The free list grows with the snapshot arena, so release always has
+// room to return a slot.
 //
 //rarlint:hot
 func (c *Core) allocBpSnap() int32 {
-	if n := len(c.bpSnapFree); n > 0 {
-		idx := c.bpSnapFree[n-1]
-		c.bpSnapFree = c.bpSnapFree[:n-1]
-		return idx
+	if c.bpSnapFreeN > 0 {
+		c.bpSnapFreeN--
+		return c.bpSnapFree[c.bpSnapFreeN]
 	}
 	c.bpSnapArena = append(c.bpSnapArena, branch.Snapshot{})
+	c.bpSnapFree = append(c.bpSnapFree, 0)
 	return int32(len(c.bpSnapArena) - 1)
 }
 
 // clearFrontQ squashes every instruction still in the front-end pipe.
 func (c *Core) clearFrontQ() {
 	for c.frontQ.len() > 0 {
-		u := c.frontQ.popFront()
-		u.state = uopDead
-		c.release(u)
+		r := c.frontQ.popFront()
+		c.arena.at(r).state = uopDead
+		c.release(r)
 	}
 }

@@ -71,34 +71,43 @@ func (c *Core) InjectSamples(samples []InjectSample) {
 	c.injNext = 0
 }
 
+// injTag records that the uop in arena slot r carries the fault of sample
+// injSamples[sample]. The tag is resolved, and dropped, when that uop
+// commits or is squashed, before the slot can be reused, so it needs no
+// seq guard.
+type injTag struct {
+	r      uopRef
+	sample int32
+}
+
 // processInjections fires every sample whose cycle has arrived.
 func (c *Core) processInjections() {
 	for c.injNext < len(c.injSamples) && c.injSamples[c.injNext].Cycle <= c.cycle {
 		i := c.injNext
 		c.injNext++
 		s := &c.injSamples[i]
-		u := c.injectOccupant(s.Structure, s.Slot)
-		if u == nil {
+		r := c.injectOccupant(s.Structure, s.Slot)
+		if r == noUop {
 			s.Outcome = InjectMasked
 			continue
 		}
-		u.inj = append(u.inj, int32(i))
+		c.injTags = append(c.injTags, injTag{r, int32(i)})
 	}
 }
 
 // injectOccupant finds the uop whose vulnerable state occupies the slot at
-// the current cycle, or nil when the slot holds no ACE-candidate state.
-func (c *Core) injectOccupant(st ace.Structure, slot int) *uop {
+// the current cycle, or noUop when the slot holds no ACE-candidate state.
+func (c *Core) injectOccupant(st ace.Structure, slot int) uopRef {
 	switch st {
 	case ace.ROB:
 		if slot < 0 || slot >= c.cfg.ROB {
-			return nil
+			return noUop
 		}
-		u := c.rob[slot]
-		if u == nil || u.inst.IsNop() {
-			return nil // empty, or un-ACE by definition
+		r := c.rob[slot]
+		if r == noUop || c.arena.at(r).inst.IsNop() {
+			return noUop // empty, or un-ACE by definition
 		}
-		return u
+		return r
 	case ace.IQ:
 		// The issue queue's entries are exactly the waiting uops, packed
 		// in seq order; an entry is vulnerable from dispatch to issue.
@@ -107,64 +116,69 @@ func (c *Core) injectOccupant(st ace.Structure, slot int) *uop {
 		// Address/data fields are vulnerable from execute to commit.
 		n := 0
 		for i := 0; i < c.robCount; i++ {
-			u := c.rob[(c.robHead+i)%c.cfg.ROB]
-			if u == nil || !u.inLQ || u.state == uopDispatched {
+			r := c.rob[c.robSlot(i)]
+			if u := c.arena.at(r); !u.inLQ || u.state == uopDispatched {
 				continue
 			}
 			if n == slot {
-				return u
+				return r
 			}
 			n++
 		}
-		return nil
+		return noUop
 	case ace.SQ:
 		n := 0
-		for _, u := range c.sqList {
-			if u.state == uopDispatched || u.state == uopDead {
+		for _, r := range c.sqList[:c.sqLen] {
+			if u := c.arena.at(r); u.state == uopDispatched || u.state == uopDead {
 				continue
 			}
 			if n == slot {
-				return u
+				return r
 			}
 			n++
 		}
-		return nil
+		return noUop
 	case ace.RF:
 		// A physical register is vulnerable from writeback until its
 		// producer commits. Architectural registers are ECC-protected
 		// (§IV-A), so committed values are masked.
 		for i := 0; i < c.robCount; i++ {
-			u := c.rob[(c.robHead+i)%c.cfg.ROB]
-			if u != nil && u.dest == int16(slot) && u.state == uopCompleted {
-				return u
+			r := c.rob[c.robSlot(i)]
+			if u := c.arena.at(r); u.dest == int16(slot) && u.state == uopCompleted {
+				return r
 			}
 		}
-		return nil
+		return noUop
 	}
-	return nil
+	return noUop
 }
 
-// resolveInjections marks u's pending samples with the outcome and clears
-// the tags.
-func (c *Core) resolveInjections(u *uop, o InjectOutcome) {
-	for _, i := range u.inj {
-		if c.injSamples[i].Outcome == InjectPending {
-			c.injSamples[i].Outcome = o
+// resolveInjections marks the pending samples tagged onto the uop in slot
+// r with the outcome and drops their tags.
+func (c *Core) resolveInjections(r uopRef, o InjectOutcome) {
+	kept := c.injTags[:0]
+	for _, t := range c.injTags {
+		if t.r != r {
+			kept = append(kept, t)
+			continue
+		}
+		if c.injSamples[t.sample].Outcome == InjectPending {
+			c.injSamples[t.sample].Outcome = o
 		}
 	}
-	u.inj = u.inj[:0]
+	c.injTags = kept
 }
 
-// release resolves any pending injection tags as squashed and returns the
-// uop to the pool. Every terminal path for a uop goes through here;
-// commit resolves Corrupt explicitly beforehand.
-func (c *Core) release(u *uop) {
-	if len(u.inj) > 0 {
-		c.resolveInjections(u, InjectSquashed)
+// release resolves any pending injection tags of the uop in slot r as
+// squashed and returns the slot to the arena. Every terminal path for a
+// uop goes through here; commit resolves Corrupt explicitly beforehand.
+func (c *Core) release(r uopRef) {
+	if len(c.injTags) > 0 {
+		c.resolveInjections(r, InjectSquashed)
 	}
-	if u.bpSnap >= 0 {
-		c.bpSnapFree = append(c.bpSnapFree, u.bpSnap)
-		u.bpSnap = -1
+	if s := c.arena.at(r).bpSnap; s >= 0 {
+		c.bpSnapFree[c.bpSnapFreeN] = s
+		c.bpSnapFreeN++
 	}
-	c.pool.put(u)
+	c.arena.put(r)
 }

@@ -17,16 +17,23 @@ type regFile struct {
 	//rarlint:survives poison bit is dead once the register is freed; alloc clears it on reallocation
 	inv []bool //rarlint:quiescent poison bits: read only by stage-driven rename and cleared on reallocation
 
-	freeInt []int16
-	freeFp  []int16
+	// freeInt[:nFreeInt] and freeFp[:nFreeFp] are the free lists: stacks
+	// sized to their files, whose depths live in ints so that renaming
+	// rewrites no slice header.
+	freeInt  []int16 //rarlint:quiescent free-list entries: dispatch is bounded by the depth, nFreeInt, which canAlloc reads
+	freeFp   []int16 //rarlint:quiescent free-list entries: dispatch is bounded by the depth, nFreeFp, which canAlloc reads
+	nFreeInt int
+	nFreeFp  int
 }
 
 func newRegFile(nInt, nFp int) *regFile {
 	r := &regFile{
-		nInt:  nInt,
-		nFp:   nFp,
-		ready: make([]bool, nInt+nFp),
-		inv:   make([]bool, nInt+nFp),
+		nInt:    nInt,
+		nFp:     nFp,
+		ready:   make([]bool, nInt+nFp),
+		inv:     make([]bool, nInt+nFp),
+		freeInt: make([]int16, nInt),
+		freeFp:  make([]int16, nFp),
 	}
 	// Architectural registers start mapped to the low physical registers
 	// of each file, ready and clean.
@@ -40,10 +47,10 @@ func newRegFile(nInt, nFp int) *regFile {
 		r.ready[p] = true
 	}
 	for p := isa.NumIntRegs; p < nInt; p++ {
-		r.freeInt = append(r.freeInt, int16(p))
+		r.free(int16(p))
 	}
 	for p := nInt + isa.NumFpRegs; p < nInt+nFp; p++ {
-		r.freeFp = append(r.freeFp, int16(p))
+		r.free(int16(p))
 	}
 	return r
 }
@@ -61,9 +68,9 @@ func (r *regFile) lookup(a isa.Reg) int16 {
 // available.
 func (r *regFile) canAlloc(fp bool) bool {
 	if fp {
-		return len(r.freeFp) > 0
+		return r.nFreeFp > 0
 	}
-	return len(r.freeInt) > 0
+	return r.nFreeInt > 0
 }
 
 // alloc takes a free physical register of the requested kind, marks it
@@ -71,11 +78,11 @@ func (r *regFile) canAlloc(fp bool) bool {
 func (r *regFile) alloc(fp bool) int16 {
 	var p int16
 	if fp {
-		p = r.freeFp[len(r.freeFp)-1]
-		r.freeFp = r.freeFp[:len(r.freeFp)-1]
+		r.nFreeFp--
+		p = r.freeFp[r.nFreeFp]
 	} else {
-		p = r.freeInt[len(r.freeInt)-1]
-		r.freeInt = r.freeInt[:len(r.freeInt)-1]
+		r.nFreeInt--
+		p = r.freeInt[r.nFreeInt]
 	}
 	r.ready[p] = false
 	r.inv[p] = false
@@ -88,9 +95,11 @@ func (r *regFile) free(p int16) {
 		return
 	}
 	if int(p) < r.nInt {
-		r.freeInt = append(r.freeInt, p)
+		r.freeInt[r.nFreeInt] = p
+		r.nFreeInt++
 	} else {
-		r.freeFp = append(r.freeFp, p)
+		r.freeFp[r.nFreeFp] = p
+		r.nFreeFp++
 	}
 }
 
@@ -113,4 +122,9 @@ func (r *regFile) snapshotRAT() [isa.NumRegs]int16 { return r.rat }
 func (r *regFile) restoreRAT(s [isa.NumRegs]int16) { r.rat = s }
 
 // freeRegs returns the number of free registers of each kind, for stats.
-func (r *regFile) freeRegs() (ints, fps int) { return len(r.freeInt), len(r.freeFp) }
+func (r *regFile) freeRegs() (ints, fps int) { return r.nFreeInt, r.nFreeFp }
+
+// freeLists returns the free registers of each kind.
+func (r *regFile) freeLists() (ints, fps []int16) {
+	return r.freeInt[:r.nFreeInt], r.freeFp[:r.nFreeFp]
+}

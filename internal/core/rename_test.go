@@ -109,7 +109,8 @@ func TestRenameConservation(t *testing.T) {
 		for a := isa.Reg(0); a < isa.NumRegs; a++ {
 			seen[r.lookup(a)]++
 		}
-		for _, p := range append(append([]int16{}, r.freeInt...), r.freeFp...) {
+		ints, fps := r.freeLists()
+		for _, p := range append(append([]int16{}, ints...), fps...) {
 			seen[p]++
 		}
 		if len(seen) != 128 {

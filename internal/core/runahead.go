@@ -30,7 +30,7 @@ const longLatWait = 60
 func (c *Core) modeStage() {
 	if c.mode == modeRunahead {
 		c.drainPRDQ()
-		if c.blocking.doneAt <= c.cycle {
+		if c.arena.at(c.blocking).doneAt <= c.cycle {
 			c.exitRunahead()
 			c.progress++
 		}
@@ -53,7 +53,7 @@ func (c *Core) modeStage() {
 		// rebuilds after a flush): that state stays exposed, which is
 		// one reason RAR surpasses Flushing in reliability (§V-B).
 		if timerFired && head.llcMiss && head.seq != c.lastFlushSeq {
-			c.doFlush(head)
+			c.doFlush(c.rob[c.robHead])
 		}
 		return
 	}
@@ -69,7 +69,7 @@ func (c *Core) modeStage() {
 		// those waits is what keeps the back-end non-vulnerable for the
 		// whole memory shadow.
 		if timerFired {
-			c.enterRunahead(head)
+			c.enterRunahead(c.rob[c.robHead])
 		}
 		return
 	}
@@ -78,7 +78,7 @@ func (c *Core) modeStage() {
 		if c.scheme.IssueWindow && head.doneAt <= c.cycle+minTRInterval {
 			return
 		}
-		c.enterRunahead(head)
+		c.enterRunahead(c.rob[c.robHead])
 	}
 }
 
@@ -104,12 +104,12 @@ func (c *Core) modeStage() {
 //rarlint:pure
 func (c *Core) modeNextEvent(head *uop) uint64 {
 	if c.mode == modeRunahead {
-		if len(c.prdq) > 0 {
-			if st := c.prdq[0].state; st == uopCompleted || st == uopDead {
+		if c.prdqLen > 0 {
+			if st := c.arena.at(c.prdq[0]).state; st == uopCompleted || st == uopDead {
 				return c.cycle + 1
 			}
 		}
-		return c.blocking.doneAt
+		return c.arena.at(c.blocking).doneAt
 	}
 	if head == nil || !head.isLoad() || head.state != uopIssued || !head.memIssued {
 		return noEvent
@@ -140,13 +140,15 @@ func (c *Core) modeNextEvent(head *uop) uint64 {
 	return noEvent
 }
 
-// enterRunahead checkpoints the machine and switches to runahead mode.
-// The ROB is frozen: nothing commits and nothing new is allocated in it.
-func (c *Core) enterRunahead(blocking *uop) {
+// enterRunahead checkpoints the machine and switches to runahead mode,
+// with the load in slot b blocking the ROB head. The ROB is frozen:
+// nothing commits and nothing new is allocated in it.
+func (c *Core) enterRunahead(b uopRef) {
 	c.s.RunaheadEntries++
 	c.progress++
 	c.mode = modeRunahead
-	c.blocking = blocking
+	c.blocking = b
+	blocking := c.arena.at(b)
 
 	// Dependents of the blocking load are INV: they cannot produce values
 	// during runahead and are dropped at dispatch.
@@ -166,7 +168,7 @@ func (c *Core) enterRunahead(blocking *uop) {
 	resume := c.stream.cursor()
 	onPath := false
 	for i := 0; i < c.frontQ.len(); i++ {
-		u := c.frontQ.at(i)
+		u := c.arena.at(c.frontQ.at(i))
 		if !u.inst.WrongPath {
 			onPath = true
 			if u.streamIdx < resume {
@@ -200,7 +202,7 @@ func (c *Core) enterRunahead(blocking *uop) {
 //rarlint:pure
 func (c *Core) runaheadDispatchStalled(u *uop) bool {
 	in := &u.inst
-	return len(c.prdq) >= c.cfg.PRDQ ||
+	return c.prdqLen >= c.cfg.PRDQ ||
 		(in.HasDest() && !c.regs.canAlloc(in.Dest.IsFp()))
 }
 
@@ -209,7 +211,8 @@ func (c *Core) runaheadDispatchStalled(u *uop) bool {
 // instructions — loads and, in lean mode, SST slice hits; everything
 // except stores in non-lean mode — are sent to the issue queue. INV
 // instructions are dropped immediately.
-func (c *Core) dispatchRunahead(u *uop) bool {
+func (c *Core) dispatchRunahead(r uopRef) bool {
+	u := c.arena.at(r)
 	if c.runaheadDispatchStalled(u) {
 		return false
 	}
@@ -222,7 +225,8 @@ func (c *Core) dispatchRunahead(u *uop) bool {
 	}
 	u.dispatchedAt = c.cycle
 	c.s.TotalDispatched++
-	c.prdq = append(c.prdq, u)
+	c.prdq[c.prdqLen] = r
+	c.prdqLen++
 
 	execute := false
 	switch {
@@ -256,7 +260,7 @@ func (c *Core) dispatchRunahead(u *uop) bool {
 	}
 	if c.iqLive >= c.cfg.IQ {
 		// Undo the PRDQ/rename allocation and stall dispatch.
-		c.prdq = c.prdq[:len(c.prdq)-1]
+		c.prdqLen--
 		if u.dest >= 0 {
 			c.regs.rat[in.Dest] = u.prevDest
 			c.regs.free(u.dest)
@@ -264,7 +268,7 @@ func (c *Core) dispatchRunahead(u *uop) bool {
 		}
 		return false
 	}
-	c.enqueueIQ(u)
+	c.enqueueIQ(r)
 	return true
 }
 
@@ -293,8 +297,9 @@ func (c *Core) dropRunahead(u *uop, inv bool) {
 // re-poisons it, which costs at most a mistimed prefetch.
 func (c *Core) drainPRDQ() {
 	n := 0
-	for ; n < len(c.prdq); n++ {
-		u := c.prdq[n]
+	for ; n < c.prdqLen; n++ {
+		r := c.prdq[n]
+		u := c.arena.at(r)
 		if u.state != uopCompleted && u.state != uopDead {
 			break
 		}
@@ -308,18 +313,13 @@ func (c *Core) drainPRDQ() {
 			c.regs.free(u.dest)
 			u.dest = -1
 		}
-		c.release(u)
+		c.release(r)
 	}
 	if n > 0 {
 		c.progress++
-		// Compact instead of re-slicing so the queue's capacity is
-		// reused forever (see dispatchStage); the PRDQ is bounded by
-		// cfg.PRDQ entries.
-		rest := copy(c.prdq, c.prdq[n:])
-		for i := rest; i < rest+n; i++ {
-			c.prdq[i] = nil
-		}
-		c.prdq = c.prdq[:rest]
+		// The PRDQ is bounded by cfg.PRDQ entries, so compacting it is
+		// cheap.
+		c.prdqLen = copy(c.prdq, c.prdq[n:c.prdqLen])
 	}
 }
 
@@ -341,9 +341,9 @@ func (c *Core) redirectRunahead(u *uop) {
 
 // squashRunaheadYounger rolls back runahead uops younger than seqB.
 func (c *Core) squashRunaheadYounger(seqB uint64) {
-	squashed := c.squashScratch[:0]
-	for len(c.prdq) > 0 {
-		u := c.prdq[len(c.prdq)-1]
+	for c.prdqLen > 0 {
+		r := c.prdq[c.prdqLen-1]
+		u := c.arena.at(r)
 		if u.seq <= seqB {
 			break
 		}
@@ -356,14 +356,10 @@ func (c *Core) squashRunaheadYounger(seqB uint64) {
 			u.dest = -1
 		}
 		u.state = uopDead
-		c.prdq = c.prdq[:len(c.prdq)-1]
-		squashed = append(squashed, u)
+		c.prdqLen--
+		c.release(r)
 	}
 	c.clearFrontQ()
-	for _, u := range squashed {
-		c.release(u)
-	}
-	c.squashScratch = squashed[:0]
 }
 
 // discardRunahead throws away all remaining runahead state: restores the
@@ -371,7 +367,8 @@ func (c *Core) squashRunaheadYounger(seqB uint64) {
 // uops from the pipeline.
 func (c *Core) discardRunahead() {
 	c.regs.restoreRAT(c.chk.rat)
-	for _, u := range c.prdq {
+	for _, r := range c.prdq[:c.prdqLen] {
+		u := c.arena.at(r)
 		if u.state == uopDispatched {
 			c.iqLive--
 		}
@@ -380,12 +377,10 @@ func (c *Core) discardRunahead() {
 			c.regs.free(u.dest)
 			u.dest = -1
 		}
+		c.release(r)
 	}
+	c.prdqLen = 0
 	c.clearFrontQ()
-	for _, u := range c.prdq {
-		c.release(u)
-	}
-	c.prdq = c.prdq[:0]
 	c.raDiverged = false
 }
 
@@ -395,7 +390,7 @@ func (c *Core) discardRunahead() {
 func (c *Core) abortRunahead() {
 	c.discardRunahead()
 	c.mode = modeNormal
-	c.blocking = nil
+	c.blocking = noUop
 	c.wrongPath = c.chk.wrongPath
 	c.wpPC = c.chk.wpPC
 	c.wpSynthetic = c.chk.wpSynthetic
@@ -407,8 +402,8 @@ func (c *Core) abortRunahead() {
 // (TR, RAR) squash the entire back-end — rendering all state accumulated
 // during the runahead interval un-ACE — and refetch from the blocking load.
 func (c *Core) exitRunahead() {
-	blocking := c.blocking
-	c.blocking = nil
+	blocking := c.arena.at(c.blocking)
+	c.blocking = noUop
 	c.mode = modeNormal
 
 	c.discardRunahead()
@@ -416,9 +411,11 @@ func (c *Core) exitRunahead() {
 	if c.scheme.FlushAtExit {
 		// Flush the whole back-end, including the blocking load: its
 		// first incarnation never commits (un-ACE) and the refetch hits
-		// in the now-filled cache.
+		// in the now-filled cache. The squash releases the load's slot,
+		// so its stream index is read first.
+		resume := blocking.streamIdx
 		c.squashYounger(blocking.seq - 1)
-		c.stream.rewind(blocking.streamIdx)
+		c.stream.rewind(resume)
 		c.bp.Restore(c.chk.bpSnap, false, 0, false)
 		c.clearWrongPath()
 		if c.fetchStallUntil < c.cycle+2 {
@@ -440,10 +437,12 @@ func (c *Core) exitRunahead() {
 }
 
 // doFlush implements the FLUSH scheme: as soon as a load's LLC miss is
-// detected, squash everything younger than the load and stall fetch until
-// the data returns (Weaver et al.). Flushing this early is what destroys
-// MLP: instructions past the load never get to issue their own misses.
-func (c *Core) doFlush(load *uop) {
+// detected, squash everything younger than the load (in slot r) and stall
+// fetch until the data returns (Weaver et al.). Flushing this early is
+// what destroys MLP: instructions past the load never get to issue their
+// own misses.
+func (c *Core) doFlush(r uopRef) {
+	load := c.arena.at(r)
 	c.s.Flushes++
 	c.progress++
 	c.lastFlushSeq = load.seq

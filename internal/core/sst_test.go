@@ -107,17 +107,3 @@ func TestTrainSliceCycle(t *testing.T) {
 		t.Error("cycle members missing")
 	}
 }
-
-func TestUopPoolReuse(t *testing.T) {
-	var p uopPool
-	u := p.get()
-	u.seq = 42
-	p.put(u)
-	v := p.get()
-	if v != u {
-		t.Error("pool must recycle")
-	}
-	if v.seq != 0 {
-		t.Error("recycled uop not zeroed")
-	}
-}

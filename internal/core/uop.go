@@ -29,47 +29,54 @@ const (
 )
 
 // uop is one in-flight micro-op. The same record flows through normal and
-// runahead mode; runahead uops simply have no ROB entry.
+// runahead mode; runahead uops simply have no ROB entry. A uop lives in
+// its core's arena (uopArena), and every structure that holds one names
+// it by its uopRef: the record and the lists that name it hold no
+// pointer, so the garbage collector never scans them and storing a
+// reference needs no write barrier.
 type uop struct {
 	inst isa.Inst
 	seq  uint64 // global age
 
 	state uopState
 	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
+	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
 	runahead bool // dispatched during runahead mode
 	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
+	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
 	inv bool // poisoned: depends on the blocking load's unavailable value
 
 	// Register renaming.
+	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
 	src [2]int16 // physical sources (-1 = none/ready immediate)
 	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 	dest int16 // physical destination (-1 = none)
 	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
+	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
 	prevDest int16 // previous mapping of the architectural dest, for rollback
 	// notReady counts source registers still awaiting their producer.
 	// Maintained event-driven (Core.markReady decrements it when a producer
 	// publishes) so the issue stage tests one field instead of re-polling
 	// the register file for every queued uop every cycle.
+	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
 	notReady int8 //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 
 	// Position bookkeeping.
 	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 	streamIdx uint64 // index into the correct-path stream (for rewind)
-	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	robIdx int  // slot in the ROB ring; -1 for runahead uops
-	inLQ   bool //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	inSQ   bool //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
+	inLQ      bool   //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
+	inSQ      bool   //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 
 	// Timing.
 	frontReadyAt uint64 //rarlint:unit cycles -- the cycle the uop clears the front-end pipe
 	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
+	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
 	dispatchedAt uint64 //rarlint:unit cycles
 	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 	issuedAt uint64 //rarlint:unit cycles
-	doneAt   uint64 //rarlint:unit cycles
-	retryAt  uint64 //rarlint:unit cycles -- earliest re-issue attempt after an MSHR stall
-	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	fuLatency uint64 //rarlint:unit cycles
+	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
+	doneAt  uint64 //rarlint:unit cycles
+	retryAt uint64 //rarlint:unit cycles -- earliest re-issue attempt after an MSHR stall
 
 	// Memory.
 	llcMiss   bool // the access missed the LLC
@@ -78,9 +85,8 @@ type uop struct {
 
 	// Branch prediction state. bpSnap indexes the core's snapshot arena
 	// (-1 = none): only mispredicted branches carry a history snapshot,
-	// and keeping the 72-byte Snapshot out of line keeps every uop within
-	// four cache lines — the pool, the ROB ring and every stage walk touch
-	// that much less cache.
+	// and keeping the 72-byte Snapshot out of line keeps it out of every
+	// stage walk.
 	predTaken bool  //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 	bpSnap    int32 //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 
@@ -89,16 +95,10 @@ type uop struct {
 	hbAtDispatch, fsAtDispatch uint64 //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 	hbAtIssue, fsAtIssue       uint64 //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 	hbAtDone, fsAtDone         uint64 //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	issueValid                 bool   //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-
-	// inj holds indices of fault-injection samples tagged onto this uop
-	// (see inject.go); resolved at commit or squash.
-	inj []int32 //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 
 	// bpInfo sits last deliberately: only branch uops (a minority) ever
-	// touch it, and with inj it fills the uop's fourth cache line, so every
-	// field the non-branch stage walks read sits in the first three. The
-	// whole uop is 256 bytes (TestUopSize).
+	// touch it, so every field the non-branch stage walks read comes
+	// before it. The whole uop is 208 bytes (TestUopSize).
 	bpInfo branch.Info //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 }
 
@@ -106,29 +106,65 @@ func (u *uop) isLoad() bool   { return u.inst.IsLoad() }
 func (u *uop) isStore() bool  { return u.inst.IsStore() }
 func (u *uop) isBranch() bool { return u.inst.IsBranch() }
 
-// uopPool recycles uop records to keep allocation off the hot path.
-type uopPool struct {
-	free []*uop //rarlint:quiescent uop allocator free list: allocation scratch with no timing content
+// uopRef names a uop by its slot in the core's arena; noUop names none.
+type uopRef int32
+
+const noUop uopRef = -1
+
+// uopArena holds every uop a core can have in flight at once, in one
+// []uop allocated at construction and never grown, with a free list of
+// its slots. A uop is in flight from fetch until it commits or is
+// squashed, and lives in exactly one of the ROB, the PRDQ and the
+// front-end ring, so their capacities bound the arena (Core.arenaSize);
+// the audit checks that every slot is either free or named by exactly one
+// of them.
+type uopArena struct {
+	uops []uop
+	// free is a stack of the free slots; nFree is its depth. The length
+	// lives in an int rather than in the slice header, so taking and
+	// returning slots writes no pointer.
+	free  []uopRef //rarlint:quiescent uop allocator free list: allocation scratch with no timing content
+	nFree int      //rarlint:quiescent uop allocator free list: allocation scratch with no timing content
 }
 
-func (p *uopPool) get() *uop {
-	if n := len(p.free); n > 0 {
-		u := p.free[n-1]
-		p.free = p.free[:n-1]
-		u.reset()
-		return u
+func newUopArena(size int) uopArena {
+	a := uopArena{uops: make([]uop, size), free: make([]uopRef, size), nFree: size}
+	// Hand out low slots first, so a core that never fills its window
+	// touches only the front of the arena.
+	for i := range a.free {
+		a.free[i] = uopRef(size - 1 - i)
 	}
-	//rarlint:allow hotalloc pool warm-up only; steady state recycles from free
-	return &uop{}
+	return a
+}
+
+// at returns the uop in slot r.
+//
+//rarlint:pure
+func (a *uopArena) at(r uopRef) *uop { return &a.uops[r] }
+
+// get takes a free slot and resets its uop for a new incarnation.
+func (a *uopArena) get() uopRef {
+	if a.nFree == 0 {
+		panic("core: uop arena exhausted")
+	}
+	a.nFree--
+	r := a.free[a.nFree]
+	a.uops[r].reset()
+	return r
+}
+
+// put returns slot r to the free list.
+func (a *uopArena) put(r uopRef) {
+	a.free[a.nFree] = r
+	a.nFree++
 }
 
 // reset clears the fields of a recycled uop that some path reads before
-// it writes them; `*u = uop{}` would clear all 256 bytes, and that
+// it writes them; `*u = uop{}` would clear the whole record, and that
 // duffzero was a measurable slice of fetch. Every other field is written
 // first in each incarnation:
 //
-//   - src, dest, prevDest, robIdx and bpSnap: by newUop, right after get
-//     (release also returns bpSnap to -1);
+//   - src, dest, prevDest and bpSnap: by newUop, right after get;
 //   - inst and frontReadyAt: at every fetch site, and streamIdx at every
 //     fetch of a stream instruction — the only uops whose streamIdx is
 //     read;
@@ -140,26 +176,18 @@ func (p *uopPool) get() *uop {
 //   - notReady: by enqueueIQ, before any registration of this incarnation;
 //   - dispatchedAt and hbAtDispatch/fsAtDispatch: at dispatch, and read
 //     only for committed uops, all of which dispatched in normal mode;
-//   - issuedAt, fuLatency, hbAtIssue/fsAtIssue, hbAtDone/fsAtDone: at
-//     issue and completion, read only behind issueValid;
+//   - issuedAt, hbAtIssue/fsAtIssue and hbAtDone/fsAtDone: at issue and
+//     completion, and read only for committed non-NOP uops, every one of
+//     which issued and completed;
 //   - doneAt: at issue, a NOP's dispatch or a runahead drop, before
-//     anything reads it; llcMiss: with memIssued, behind which it is read;
-//   - inj: release drains it to length 0, keeping its backing array so
-//     tagged uops stop reallocating.
+//     anything reads it; llcMiss: with memIssued, behind which it is read.
 //
 // seq, which newUop numbers next, is zeroed anyway: a record handed out
-// by the pool carries no identity of its previous incarnation.
+// by the arena carries no identity of its previous incarnation.
 func (u *uop) reset() {
 	u.seq = 0
 	u.runahead, u.inv = false, false
 	u.inLQ, u.inSQ = false, false
 	u.retryAt = 0
 	u.longLat, u.memIssued = false, false
-	u.issueValid = false
-}
-
-func (p *uopPool) put(u *uop) {
-	if len(p.free) < 4096 {
-		p.free = append(p.free, u)
-	}
 }

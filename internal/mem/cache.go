@@ -20,15 +20,24 @@ const lineShift = 6
 // LineAddr returns the line-aligned address of addr.
 func LineAddr(addr uint64) uint64 { return addr &^ (LineSize - 1) }
 
+// cacheLine is one way of a set, 24 bytes: the tag word holds the line
+// address (addr >> lineShift, at most 58 bits) with the valid and dirty
+// bits folded into its top two bits, so a hit is one compare and a cache
+// allocates no padding for two bools.
 type cacheLine struct {
-	tag uint64 //rarlint:quiescent memory-side state: advances only on stage-driven accesses; the stall-ending fill is covered by NextFillAt
+	//rarlint:quiescent memory-side state: advances only on stage-driven accesses; the stall-ending fill is covered by NextFillAt
+	tag uint64 // line address | lineValid | lineDirty; zero for a line never filled
 	//rarlint:quiescent memory-side state: advances only on stage-driven accesses; the stall-ending fill is covered by NextFillAt
 	readyAt uint64 // cycle the fill completes; 0 for lines present "forever"
 	//rarlint:quiescent memory-side state: advances only on stage-driven accesses; the stall-ending fill is covered by NextFillAt
 	lastUse uint64 // LRU timestamp
-	valid   bool   //rarlint:quiescent memory-side state: advances only on stage-driven accesses; the stall-ending fill is covered by NextFillAt
-	dirty   bool   //rarlint:quiescent memory-side state: advances only on stage-driven accesses; the stall-ending fill is covered by NextFillAt
 }
+
+// The flag bits of cacheLine.tag.
+const (
+	lineValid = 1 << 63
+	lineDirty = 1 << 62
+)
 
 // Cache is one set-associative, write-back, write-allocate cache level.
 type Cache struct {
@@ -69,14 +78,14 @@ func (c *Cache) set(addr uint64) []cacheLine {
 // flight) and refreshes LRU. markDirty sets the dirty bit on a hit.
 func (c *Cache) Lookup(addr, now uint64, markDirty bool) (availAt uint64, hit bool) {
 	c.accesses++
-	tag := addr >> lineShift
+	tag := addr>>lineShift | lineValid
 	set := c.set(addr)
 	for i := range set {
 		l := &set[i]
-		if l.valid && l.tag == tag {
+		if l.tag&^lineDirty == tag {
 			l.lastUse = now
 			if markDirty {
-				l.dirty = true
+				l.tag |= lineDirty
 			}
 			avail := now + c.latency
 			if l.readyAt > avail {
@@ -92,10 +101,9 @@ func (c *Cache) Lookup(addr, now uint64, markDirty bool) (availAt uint64, hit bo
 // Contains reports whether the line holding addr is present, without
 // touching LRU or stats.
 func (c *Cache) Contains(addr uint64) bool {
-	tag := addr >> lineShift
-	for i := range c.set(addr) {
-		l := &c.set(addr)[i]
-		if l.valid && l.tag == tag {
+	tag := addr>>lineShift | lineValid
+	for _, l := range c.set(addr) {
+		if l.tag&^lineDirty == tag {
 			return true
 		}
 	}
@@ -106,20 +114,23 @@ func (c *Cache) Contains(addr uint64) bool {
 // cycle, evicting the LRU way. It returns the victim's address and whether
 // the victim was dirty (needs a writeback).
 func (c *Cache) Insert(addr, readyAt, now uint64, dirty bool) (victimAddr uint64, writeback bool) {
-	tag := addr >> lineShift
+	tag := addr>>lineShift | lineValid
+	if dirty {
+		tag |= lineDirty
+	}
 	set := c.set(addr)
 	victim := &set[0]
 	for i := range set {
 		l := &set[i]
-		if l.valid && l.tag == tag {
+		if l.tag&^lineDirty == tag&^lineDirty {
 			// Already present (racing fills merge).
 			if readyAt < l.readyAt {
 				l.readyAt = readyAt
 			}
-			l.dirty = l.dirty || dirty
+			l.tag |= tag & lineDirty
 			return 0, false
 		}
-		if !l.valid {
+		if l.tag&lineValid == 0 {
 			victim = l
 			break
 		}
@@ -127,8 +138,9 @@ func (c *Cache) Insert(addr, readyAt, now uint64, dirty bool) (victimAddr uint64
 			victim = l
 		}
 	}
-	victimAddr, writeback = victim.tag<<lineShift, victim.valid && victim.dirty
-	*victim = cacheLine{tag: tag, readyAt: readyAt, lastUse: now, valid: true, dirty: dirty}
+	victimAddr = (victim.tag &^ (lineValid | lineDirty)) << lineShift
+	writeback = victim.tag&(lineValid|lineDirty) == lineValid|lineDirty
+	*victim = cacheLine{tag: tag, readyAt: readyAt, lastUse: now}
 	return victimAddr, writeback
 }
 

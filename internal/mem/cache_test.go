@@ -1,8 +1,10 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestLineAddr(t *testing.T) {
@@ -150,5 +152,117 @@ func TestCacheSetBound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCacheLineSize pins a cache line at 24 bytes: valid and dirty live
+// in the tag word, and the tag arrays are most of what a cell allocates.
+func TestCacheLineSize(t *testing.T) {
+	if n := unsafe.Sizeof(cacheLine{}); n != 24 {
+		t.Errorf("cacheLine is %d bytes, want 24", n)
+	}
+}
+
+// refLine and refCache are the unpacked cache this package had before
+// valid and dirty moved into the tag word: the reference the packed
+// lines must match.
+type refLine struct {
+	tag, readyAt, lastUse uint64
+	valid, dirty          bool
+}
+
+type refCache struct {
+	ways    int
+	setMask uint64
+	latency uint64
+	lines   []refLine
+}
+
+func (c *refCache) set(addr uint64) []refLine {
+	s := (addr >> lineShift) & c.setMask
+	return c.lines[s*uint64(c.ways) : (s+1)*uint64(c.ways)]
+}
+
+func (c *refCache) lookup(addr, now uint64, markDirty bool) (uint64, bool) {
+	tag := addr >> lineShift
+	for i, set := 0, c.set(addr); i < len(set); i++ {
+		if l := &set[i]; l.valid && l.tag == tag {
+			l.lastUse = now
+			l.dirty = l.dirty || markDirty
+			return max(now+c.latency, l.readyAt), true
+		}
+	}
+	return 0, false
+}
+
+func (c *refCache) insert(addr, readyAt, now uint64, dirty bool) (uint64, bool) {
+	tag := addr >> lineShift
+	set := c.set(addr)
+	victim := &set[0]
+	for i := range set {
+		l := &set[i]
+		if l.valid && l.tag == tag {
+			l.readyAt = min(l.readyAt, readyAt)
+			l.dirty = l.dirty || dirty
+			return 0, false
+		}
+		if !l.valid {
+			victim = l
+			break
+		}
+		if l.lastUse < victim.lastUse {
+			victim = l
+		}
+	}
+	va, wb := victim.tag<<lineShift, victim.valid && victim.dirty
+	*victim = refLine{tag: tag, readyAt: readyAt, lastUse: now, valid: true, dirty: dirty}
+	return va, wb
+}
+
+// TestCachePackedMatchesReference drives the packed cache and the
+// unpacked reference with the same random lookups, inserts and probes,
+// over addresses that reach the top bits a tag can hold, and checks that
+// every result agrees.
+func TestCachePackedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		c := NewCache("L1D", 4*4*LineSize, 4, 3) // 4 sets x 4 ways: heavy eviction
+		ref := &refCache{ways: c.ways, setMask: c.setMask, latency: c.latency, lines: make([]refLine, len(c.lines))}
+		// A small pool of lines, some near the top of the address space,
+		// so the same lines keep hitting, merging and being evicted.
+		pool := make([]uint64, 24)
+		for i := range pool {
+			pool[i] = rng.Uint64()
+			if i%3 == 0 {
+				pool[i] &= 1<<16 - 1
+			}
+		}
+		for now := uint64(1); now < 2000; now++ {
+			addr := pool[rng.Intn(len(pool))] + uint64(rng.Intn(LineSize))
+			dirty := rng.Intn(3) == 0
+			switch rng.Intn(3) {
+			case 0:
+				a1, h1 := c.Lookup(addr, now, dirty)
+				a2, h2 := ref.lookup(addr, now, dirty)
+				if a1 != a2 || h1 != h2 {
+					t.Fatalf("trial %d cycle %d: Lookup(%#x) = %d,%v, reference %d,%v", trial, now, addr, a1, h1, a2, h2)
+				}
+			case 1:
+				ready := now + uint64(rng.Intn(300))
+				v1, w1 := c.Insert(addr, ready, now, dirty)
+				v2, w2 := ref.insert(addr, ready, now, dirty)
+				if v1 != v2 || w1 != w2 {
+					t.Fatalf("trial %d cycle %d: Insert(%#x) = %#x,%v, reference %#x,%v", trial, now, addr, v1, w1, v2, w2)
+				}
+			default:
+				want := false
+				for _, l := range ref.set(addr) {
+					want = want || l.valid && l.tag == addr>>lineShift
+				}
+				if got := c.Contains(addr); got != want {
+					t.Fatalf("trial %d cycle %d: Contains(%#x) = %v, reference %v", trial, now, addr, got, want)
+				}
+			}
+		}
 	}
 }

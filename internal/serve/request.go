@@ -69,9 +69,9 @@ type CellResult struct {
 
 // MatrixResponse is the POST /matrix success body.
 type MatrixResponse struct {
-	// SchemaHash identifies the build's struct shapes (the same hash that
-	// versions the persistent cache); results from different schema
-	// hashes are not comparable.
+	// SchemaHash identifies the build's struct shapes and key hashing (the
+	// same hash that versions the persistent cache); results from
+	// different schema hashes are not comparable.
 	SchemaHash string       `json:"schemaHash"`
 	ETag       string       `json:"etag"`
 	Cells      []CellResult `json:"cells"`

@@ -103,14 +103,16 @@ func MatrixKeys(cores []config.Core, schemes []config.Scheme, benches []trace.Be
 }
 
 // SchemaHash fingerprints the shape (field names and types, recursively)
-// of every struct that participates in a persisted cache entry. It
-// changes whenever config.Core, config.Scheme, trace.Benchmark, Options
-// or core.Stats gain, lose or retype a field, which silently retires any
-// on-disk cache written by a previous build. The reflection walk is
-// constant within a build, so the result is computed once (it sits on
+// of every struct that participates in a persisted cache entry, and the
+// cache file name of a fixed reference key. It changes whenever
+// config.Core, config.Scheme, trace.Benchmark, Options or core.Stats
+// gain, lose or retype a field, and whenever the identity hash or its
+// canonical encoding (fingerprint.go) renames cache files; either
+// silently retires any on-disk cache written by a previous build. The
+// result is constant within a build, so it is computed once (it sits on
 // the server's per-request ETag path).
 func SchemaHash() string {
-	schemaHashOnce.Do(func() { schemaHash = computeSchemaHash() })
+	schemaHashOnce.Do(func() { schemaHash = schemaHashWith(fingerprint(&schemaRefKey)) })
 	return schemaHash
 }
 
@@ -119,7 +121,19 @@ var (
 	schemaHash     string
 )
 
-func computeSchemaHash() string {
+// schemaRefKey is the fixed cell key whose file-name fingerprint
+// SchemaHash folds in. The struct walk sees only shapes, so without it a
+// build that hashes keys differently would write its files beside the
+// old ones, in the same directory, where nothing reads or removes them.
+var schemaRefKey = CellKey{
+	Core: "schema", Scheme: "ref", Bench: "key",
+	Instructions: 1_000_000, Warmup: 200_000, Seed: 42,
+	ConfigHash: 0x0123456789abcdef,
+}
+
+// schemaHashWith hashes the persisted struct shapes together with keyFP,
+// the fingerprint cellPath names schemaRefKey's file by.
+func schemaHashWith(keyFP uint64) string {
 	h := fnv.New64a()
 	seen := map[reflect.Type]bool{}
 	var walk func(t reflect.Type)
@@ -156,6 +170,7 @@ func computeSchemaHash() string {
 	} {
 		walk(t)
 	}
+	fmt.Fprintf(h, "key:%016x", keyFP)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -691,6 +693,28 @@ func TestRunMatrixFailureOrderDeterministic(t *testing.T) {
 			first = msg
 		} else if msg != first {
 			t.Errorf("round %d error differs from round 0:\n%s\nvs\n%s", round, msg, first)
+		}
+	}
+}
+
+// TestSchemaHashTracksFileNames: the cache directory moves whenever the
+// cache file names can. SchemaHash must be the hash of the fingerprint
+// cellPath names the reference key's file by, and must change with it,
+// so a change to the identity hash or to the canonical encoding, which
+// renames every cache file, also renames the directory.
+func TestSchemaHashTracksFileNames(t *testing.T) {
+	name := filepath.Base((&Engine{dir: "cache"}).cellPath(schemaRefKey))
+	hex := strings.TrimSuffix(name[strings.LastIndexByte(name, '_')+1:], ".json")
+	fp, err := strconv.ParseUint(hex, 16, 64)
+	if err != nil {
+		t.Fatalf("cache file name %q: %v", name, err)
+	}
+	if got := schemaHashWith(fp); got != SchemaHash() {
+		t.Errorf("SchemaHash() = %s, but the hash of the file-name fingerprint %016x is %s", SchemaHash(), fp, got)
+	}
+	for _, bit := range []uint{0, 17, 63} {
+		if schemaHashWith(fp^1<<bit) == SchemaHash() {
+			t.Errorf("flipping bit %d of the file-name fingerprint leaves SchemaHash unchanged", bit)
 		}
 	}
 }

@@ -26,7 +26,9 @@ package sim
 // every run, which keeps cache file names stable across restarts. The
 // word-at-a-time hash replaced a byte-at-a-time FNV-1a, so ConfigHash,
 // ETag and cache file name values from builds before it differ, and their
-// cache files are never read.
+// cache files are never read. SchemaHash folds in the file-name
+// fingerprint of a fixed key, so any such change also moves the cache to
+// a new directory instead of leaving unreadable files in the current one.
 
 import (
 	"fmt"
