@@ -53,8 +53,10 @@ serve-smoke:
 
 # microbench runs the tracked go-test microbenchmarks: the root engine
 # benchmarks, the block-vs-scalar uop synthesis pair in internal/trace,
-# the warmed-window stage-loop benchmarks in internal/core, and one warm
-# /matrix request in internal/serve.
+# the warmed-window stage-loop benchmarks in internal/core, and two warm
+# /matrix requests in internal/serve: a repeated body answered from the
+# reply memo (BenchmarkWarmMatrix) and bodies that miss it while every
+# cell is an engine memory hit (BenchmarkWarmMatrixEngine).
 microbench:
 	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/trace ./internal/core ./internal/serve
 

@@ -2,9 +2,9 @@
 // hot/cold mix of matrix requests and reports client-side throughput
 // (cells/s) and latency percentiles, plus the server's own /metrics
 // snapshot. It is the load half of the serve-smoke harness: with
-// -assert-dedup it fails unless the server demonstrably shared
-// simulations across requests (memo hits > 0 and simulated < requested
-// cells).
+// -assert-dedup it fails unless the server demonstrably shared work
+// across requests: its engine's memo hits plus its reply-memo hits are
+// positive, and it simulated fewer cells than it served.
 //
 // Examples:
 //
@@ -40,7 +40,7 @@ func main() {
 		hot         = flag.Float64("hot", 0.75, "fraction of requests repeating the shared hot matrix (the rest get unique seeds)")
 		seed        = flag.Uint64("seed", 42, "base workload seed")
 		wait        = flag.Duration("wait", 0, "poll /healthz this long for the server to come up before loading")
-		assertDedup = flag.Bool("assert-dedup", false, "exit non-zero unless the server deduplicated cells across requests")
+		assertDedup = flag.Bool("assert-dedup", false, "exit non-zero unless the server shared cells or replies across requests")
 	)
 	flag.Parse()
 	base := "http://" + *addr
@@ -134,8 +134,8 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rarload: metrics:", err)
 	} else {
-		fmt.Printf("server: simulated %d, memo hits %d, disk hits %d, err hits %d, p50 %.2fms, p99 %.2fms\n",
-			snap.Engine.Simulated, snap.Engine.Hits, snap.Engine.DiskHits, snap.Engine.ErrHits,
+		fmt.Printf("server: simulated %d, memo hits %d, reply hits %d, disk hits %d, err hits %d, p50 %.2fms, p99 %.2fms\n",
+			snap.Engine.Simulated, snap.Engine.Hits, snap.HTTP.ReplyHits, snap.Engine.DiskHits, snap.Engine.ErrHits,
 			snap.HTTP.P50Millis, snap.HTTP.P99Millis)
 	}
 
@@ -150,10 +150,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "rarload: cannot assert dedup without /metrics")
 			os.Exit(1)
 		}
+		// A reply-memo hit answers a whole repeated request without the
+		// engine, so it counts as sharing just as an engine hit does.
 		offered := uint64(cells)
-		if snap.Engine.Hits == 0 || snap.Engine.Simulated >= offered {
-			fmt.Fprintf(os.Stderr, "rarload: no cross-request dedup: simulated %d of %d served cells, %d memo hits\n",
-				snap.Engine.Simulated, offered, snap.Engine.Hits)
+		if snap.Engine.Hits+snap.HTTP.ReplyHits == 0 || snap.Engine.Simulated >= offered {
+			fmt.Fprintf(os.Stderr, "rarload: no cross-request dedup: simulated %d of %d served cells, %d memo hits, %d reply hits\n",
+				snap.Engine.Simulated, offered, snap.Engine.Hits, snap.HTTP.ReplyHits)
 			os.Exit(1)
 		}
 	}

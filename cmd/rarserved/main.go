@@ -1,9 +1,11 @@
 // Command rarserved serves the simulator over HTTP: clients POST
 // (cores × schemes × benches × options) matrices to /matrix and the
 // server answers from one shared memoizing engine, so concurrent
-// clients asking for overlapping cells share simulations. /metrics
-// exposes the engine's warm/cold counters, the worker-pool gauges and
-// request-latency percentiles; /healthz answers readiness probes.
+// clients asking for overlapping cells share simulations, and replays a
+// repeated request body's reply from a bounded memo. /metrics exposes
+// the engine's warm/cold counters, the reply memo's hits and size, the
+// worker-pool gauges and request-latency percentiles; /healthz answers
+// readiness probes.
 //
 // Examples:
 //

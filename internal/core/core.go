@@ -139,7 +139,7 @@ type Core struct {
 	// apart — a megabyte of backing whose appends missed cache on nearly
 	// every registration. Sixteen entries cover the common case with the
 	// whole backing L2-resident. A full list first drops its stale
-	// registrations (addWaiter), and the stride doubles (growStrided) only
+	// registrations (makeWaiterRoom), and the stride doubles (growStrided) only
 	// when a register holds more live ones.
 	//rarlint:survives seq-guarded: entries registered in runahead are inert after the squash recycles their uops
 	waitBuf []waiter //rarlint:quiescent wakeup lists: drained by stage-driven completion, whose timing fill and FU events cover

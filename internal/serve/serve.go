@@ -14,13 +14,17 @@
 //     without touching the cache or the pool (simulation results are
 //     deterministic in the request identity);
 //   - failing cells are answered 503 + Retry-After from the engine's
-//     negative cache instead of re-simulating per request.
+//     negative cache instead of re-simulating per request;
+//   - a POST whose body is byte-identical to one already answered 200 is
+//     replayed from a bounded reply memo (memo.go), without decoding,
+//     resolving, running or encoding anything.
 //
 // Endpoints: POST /matrix, GET /metrics (JSON counters: engine, pool,
-// HTTP, latency percentiles), GET /healthz.
+// HTTP and reply memo, latency percentiles), GET /healthz.
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -29,6 +33,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -56,6 +61,7 @@ type Server struct {
 	pool   *sim.Pool      //rarlint:guardedby init
 	mux    *http.ServeMux //rarlint:guardedby init
 	lat    latencyRing    //rarlint:guardedby init  internally locked
+	memo   replyMemo      //rarlint:guardedby init  internally locked
 
 	requests    atomic.Uint64 //rarlint:guardedby atomic  POST /matrix requests accepted for processing
 	okResponses atomic.Uint64 //rarlint:guardedby atomic  200s
@@ -64,12 +70,13 @@ type Server struct {
 	unavailable atomic.Uint64 //rarlint:guardedby atomic  503s (negative-cached cell failures)
 	serverErrs  atomic.Uint64 //rarlint:guardedby atomic  other 5xx
 	cellsServed atomic.Uint64 //rarlint:guardedby atomic  cells across all 200s
+	replyHits   atomic.Uint64 //rarlint:guardedby atomic  200s and 304s answered from the reply memo
 }
 
 // New returns a server over engine, bounding all simulation work by
 // pool (nil = unbounded; every request brings its own parallelism).
 func New(engine Runner, pool *sim.Pool) *Server {
-	s := &Server{engine: engine, pool: pool}
+	s := &Server{engine: engine, pool: pool, memo: replyMemo{limit: replyMemoBytes}}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/matrix", s.handleMatrix)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -103,8 +110,8 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	return hs.Shutdown(drainCtx)
 }
 
-// handleMatrix is POST /matrix: validate, revalidate (ETag), simulate,
-// respond.
+// handleMatrix is POST /matrix: replay a remembered reply, or validate,
+// revalidate (ETag), simulate, respond and remember the reply.
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	// Host-side request timing for the /metrics latency percentiles
 	// (every outcome counts — queueing shows up in errors too); never
@@ -116,15 +123,22 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a MatrixRequest JSON body")
 		return
 	}
-	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	in := getBuf()
+	defer putBuf(in)
+	if _, err := in.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		s.badBody(w, err)
+		return
+	}
+	body := in.Bytes()
+	if rep, ok := s.memo.get(body); ok {
+		s.requests.Add(1)
+		s.replyHits.Add(1)
+		s.answer(w, r, rep.body(), rep.etag(), int(rep.cells))
+		return
+	}
+	req, err := decodeRequest(bytes.NewReader(body))
 	if err != nil {
-		s.clientErrs.Add(1)
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, fmt.Sprintf("bad request body: %v", err))
+		s.badBody(w, err)
 		return
 	}
 	spec, err := resolve(req)
@@ -168,13 +182,69 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.okResponses.Add(1)
-	s.cellsServed.Add(uint64(len(cells)))
-	writeJSON(w, http.StatusOK, MatrixResponse{
+	out := getBuf()
+	defer putBuf(out)
+	err = json.NewEncoder(out).Encode(MatrixResponse{
 		SchemaHash: sim.SchemaHash(),
 		ETag:       etag,
 		Cells:      cells,
 	})
+	if err != nil {
+		s.serverErrs.Add(1)
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	s.memo.put(body, out.Bytes(), etag, len(cells))
+	s.answer(w, r, out.Bytes(), etag, len(cells))
+}
+
+// bufPool recycles the buffers a request reads its body into and
+// encodes its reply into. Neither outlives the request: the memo and
+// the response writer copy what they keep.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func getBuf() *bytes.Buffer {
+	b := bufPool.Get().(*bytes.Buffer)
+	b.Reset()
+	return b
+}
+
+// putBuf returns b to the pool unless a large matrix grew it, so that
+// the pool does not keep such buffers alive.
+func putBuf(b *bytes.Buffer) {
+	if b.Cap() <= 64<<10 {
+		bufPool.Put(b)
+	}
+}
+
+// badBody answers a body that could not be read or decoded: 413 when it
+// is over the size cap, 400 otherwise.
+func (s *Server) badBody(w http.ResponseWriter, err error) {
+	s.clientErrs.Add(1)
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Sprintf("bad request body: %v", err))
+}
+
+// answer sends a 200 reply of cells cells, or 304 when the request's
+// If-None-Match names its ETag.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, body []byte, etag string, cells int) {
+	h := w.Header()
+	h.Set("ETag", etag)
+	if etagMatches(r.Header.Get("If-None-Match"), etag) {
+		s.notModified.Add(1)
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	s.okResponses.Add(1)
+	s.cellsServed.Add(uint64(cells))
+	h.Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// A vanished client is not a server failure (see writeJSON).
+	_, _ = w.Write(body)
 }
 
 // Snapshot is the GET /metrics body: engine counters, pool gauges and
@@ -208,7 +278,9 @@ type PoolGauges struct {
 	Queued int `json:"queued"`
 }
 
-// HTTPCounters reports request-level accounting and latency.
+// HTTPCounters reports request-level accounting and latency. A request
+// answered from the reply memo counts like any other, and also in
+// ReplyHits.
 type HTTPCounters struct {
 	MatrixRequests uint64  `json:"matrixRequests"`
 	OK             uint64  `json:"ok"`
@@ -219,6 +291,11 @@ type HTTPCounters struct {
 	CellsServed    uint64  `json:"cellsServed"`
 	P50Millis      float64 `json:"p50Millis"`
 	P99Millis      float64 `json:"p99Millis"`
+	// ReplyHits counts the 200s and 304s answered from the reply memo;
+	// ReplyEntries and ReplyBytes are what it holds now.
+	ReplyHits    uint64 `json:"replyHits"`
+	ReplyEntries int    `json:"replyEntries"`
+	ReplyBytes   int    `json:"replyBytes"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -226,9 +303,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
+	writeJSON(w, http.StatusOK, s.snapshot())
+}
+
+func (s *Server) snapshot() Snapshot {
 	m := s.engine.Metrics()
 	p50, p99 := s.lat.percentiles()
-	writeJSON(w, http.StatusOK, Snapshot{
+	entries, held := s.memo.gauges()
+	return Snapshot{
 		Engine: EngineCounters{
 			Simulated:   m.Simulated,
 			Hits:        m.Hits,
@@ -256,8 +338,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			CellsServed:    s.cellsServed.Load(),
 			P50Millis:      float64(p50) / float64(time.Millisecond),
 			P99Millis:      float64(p99) / float64(time.Millisecond),
+			ReplyHits:      s.replyHits.Load(),
+			ReplyEntries:   entries,
+			ReplyBytes:     held,
 		},
-	})
+	}
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

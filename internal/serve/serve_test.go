@@ -76,12 +76,13 @@ func post(t *testing.T, url string, req MatrixRequest, hdr map[string]string) (i
 // TestMatrixDedupAcrossRequests fires concurrent identical matrix POSTs:
 // every request gets the full result, but the engine must simulate each
 // unique cell exactly once — the in-flight singleflight and memo cache
-// span requests because they live in the shared engine. A /metrics
-// poller runs alongside, so under -race the snapshot's reads of the
-// engine counters and the latency ring are checked against the
-// requests' writes.
+// span requests because they live in the shared engine, and a request
+// that comes after a reply is out is answered from the reply memo. A
+// /metrics poller runs alongside, so under -race the snapshot's reads of
+// the engine counters, the reply memo and the latency ring are checked
+// against the requests' writes.
 func TestMatrixDedupAcrossRequests(t *testing.T) {
-	_, eng, ts := newTestServer(t)
+	srv, eng, ts := newTestServer(t)
 	req := testRequest()
 
 	stop, polled := make(chan struct{}), make(chan struct{})
@@ -144,8 +145,12 @@ func TestMatrixDedupAcrossRequests(t *testing.T) {
 		t.Errorf("engine simulated %d cells for %d requests, want %d (cross-request dedup)",
 			m.Simulated, clients, uniqueCells)
 	}
-	if m.Hits != uniqueCells*(clients-1) {
-		t.Errorf("hits = %d, want %d", m.Hits, uniqueCells*(clients-1))
+	// A request answered from the reply memo never reaches the engine;
+	// it stands for a hit on every cell of its reply.
+	replyHits := srv.snapshot().HTTP.ReplyHits
+	if got := m.Hits + replyHits*uniqueCells; got != uniqueCells*(clients-1) {
+		t.Errorf("engine hits %d + %d reply hits × %d cells = %d, want %d",
+			m.Hits, replyHits, uniqueCells, got, uniqueCells*(clients-1))
 	}
 }
 
@@ -282,6 +287,12 @@ func TestValidation(t *testing.T) {
 	if status := postRaw(huge); status != http.StatusRequestEntityTooLarge {
 		t.Errorf("%d-byte body: status %d, want 413", len(huge), status)
 	}
+	// So is one whose JSON value ends well inside the cap: the whole body
+	// is the reply memo's key, so all of it is read.
+	padded := append(mustJSON(t, testRequest()), bytes.Repeat([]byte(" "), maxBodyBytes)...)
+	if status := postRaw(padded); status != http.StatusRequestEntityTooLarge {
+		t.Errorf("valid request padded to %d bytes: status %d, want 413", len(padded), status)
+	}
 
 	if m := eng.Metrics(); m.Simulated != 0 || m.Errors != 0 {
 		t.Errorf("validation failures reached the engine: %+v", m)
@@ -386,7 +397,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 // TestMetricsEndpoint: /metrics reflects engine and HTTP activity, and
-// shows the cold→warm split after a repeated request.
+// shows the cold→warm split after a repeated request: the repeat is a
+// reply-memo hit, which stands for an engine hit on each of its cells.
 func TestMetricsEndpoint(t *testing.T) {
 	_, _, ts := newTestServer(t)
 	req := testRequest()
@@ -413,8 +425,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	if snap.Engine.Simulated != cells {
 		t.Errorf("simulated = %d, want %d", snap.Engine.Simulated, cells)
 	}
-	if snap.Engine.Hits != cells {
-		t.Errorf("hits = %d, want %d (second request fully warm)", snap.Engine.Hits, cells)
+	if got := snap.Engine.Hits + snap.HTTP.ReplyHits*cells; got != cells {
+		t.Errorf("engine hits %d + %d reply hits × %d cells = %d, want %d (second request fully warm)",
+			snap.Engine.Hits, snap.HTTP.ReplyHits, cells, got, cells)
+	}
+	if snap.HTTP.ReplyEntries != 1 || snap.HTTP.ReplyBytes <= 0 {
+		t.Errorf("reply memo holds %d entries of %d bytes, want 1", snap.HTTP.ReplyEntries, snap.HTTP.ReplyBytes)
 	}
 	if snap.HTTP.MatrixRequests != 2 || snap.HTTP.OK != 2 || snap.HTTP.CellsServed != 2*cells {
 		t.Errorf("http counters = %+v", snap.HTTP)
@@ -427,9 +443,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// BenchmarkWarmMatrix measures one warm 4-cell POST /matrix through
-// Server.Handler: every cell is a memory hit, so the time is the
-// request's own path (decode, resolve, ETag, engine lookup, encode).
+// BenchmarkWarmMatrix measures one repeated 4-cell POST /matrix
+// through Server.Handler: the body is one the server already answered,
+// so the reply comes from the reply memo (read the body, look it up,
+// write the stored reply).
 func BenchmarkWarmMatrix(b *testing.B) {
 	h := New(sim.NewEngine(), sim.NewPool(2)).Handler()
 	body, err := json.Marshal(testRequest())
@@ -448,5 +465,40 @@ func BenchmarkWarmMatrix(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		request()
+	}
+}
+
+// BenchmarkWarmMatrixEngine measures one warm 4-cell POST /matrix that
+// misses the reply memo: each body differs from every other only in its
+// leading JSON whitespace, so every cell is an engine memory hit and the
+// time is the request's own path (decode, resolve, ETag, engine lookup,
+// encode, remember).
+func BenchmarkWarmMatrixEngine(b *testing.B) {
+	h := New(sim.NewEngine(), sim.NewPool(2)).Handler()
+	template, err := json.Marshal(testRequest())
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Sixteen leading characters from {space, tab, newline, CR} spell i
+	// in base 4, so the first 4^16 bodies are all different.
+	const ws = " \t\n\r"
+	body := make([]byte, 16+len(template))
+	copy(body[16:], template)
+	request := func(i int) {
+		for d := 0; d < 16; d++ {
+			body[d] = ws[i&3]
+			i >>= 2
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/matrix", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	request(0) // simulates the four cells
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		request(i + 1)
 	}
 }
