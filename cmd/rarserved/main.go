@@ -10,7 +10,7 @@
 // Examples:
 //
 //	rarserved -addr :8080 -cache /var/cache/rarsim
-//	rarserved -addr 127.0.0.1:0 -workers 4 -failure-ttl 30s
+//	rarserved -addr 127.0.0.1:0 -workers 4
 package main
 
 import (
@@ -32,7 +32,6 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free one)")
 		cacheDir   = flag.String("cache", "", "directory to persist simulated cells into (empty: memory only)")
 		workers    = flag.Int("workers", 0, "server-wide simulation concurrency (0 = GOMAXPROCS)")
-		failTTL    = flag.Duration("failure-ttl", 15*time.Second, "hold a failed cell this long, answering 503 + Retry-After instead of re-simulating (0 restores retry-every-call)")
 		maxBytes   = flag.Int64("max-cache-bytes", 0, "evict least-recently-used cached cells beyond this many bytes on disk (0 = unbounded)")
 		maxEntries = flag.Int("max-cache-entries", 0, "evict least-recently-used cached cells beyond this count (0 = unbounded)")
 		drain      = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound for in-flight requests")
@@ -49,7 +48,6 @@ func main() {
 	} else {
 		engine = sim.NewEngine()
 	}
-	engine.SetFailureTTL(*failTTL)
 	if *maxBytes > 0 || *maxEntries > 0 {
 		engine.SetDiskBudget(*maxBytes, *maxEntries)
 	}

@@ -5,7 +5,8 @@ package lint
 // must be a pure function of its content-hashed CellKey. Three bug
 // classes break that silently:
 //
-//   - wall-clock reads (time.Now / time.Since) leaking into state,
+//   - wall-clock reads (time.Now / time.Since, called or held as a
+//     value to call later) leaking into state,
 //   - the global math/rand source (process-wide, seeding-order
 //     dependent) instead of an explicitly seeded local generator,
 //   - iteration over a map feeding results, accumulators or rendered
@@ -44,10 +45,19 @@ func determinism(m *Module) []Diagnostic {
 	for _, p := range m.Pkgs {
 		scoped := m.IsDeterminismScoped(p)
 		for _, f := range p.Files {
+			called := map[ast.Expr]bool{} // the callee of every call seen so far
 			ast.Inspect(f, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if msg := nondeterministicCall(p, call); msg != "" {
-						report(call.Pos(), msg)
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					called[ast.Unparen(n.Fun)] = true
+					if msg := nondeterministicCall(p, n); msg != "" {
+						report(n.Pos(), msg)
+					}
+				case *ast.SelectorExpr:
+					// Inspect visits a call before its callee, so a
+					// selector not yet seen as one is used as a value.
+					if fn, ok := p.Info.Uses[n.Sel].(*types.Func); ok && !called[n] && wallClock(fn) {
+						report(n.Pos(), fmt.Sprintf("time.%s used as a value: whoever calls it reads the wall clock, which is nondeterministic; keep it outside simulated state (annotate host-side timing with rarlint:allow)", fn.Name()))
 					}
 				}
 				return true
@@ -81,11 +91,10 @@ func nondeterministicCall(p *Package, call *ast.CallExpr) string {
 	if fn == nil || fn.Pkg() == nil {
 		return ""
 	}
+	if wallClock(fn) {
+		return fmt.Sprintf("call to time.%s: wall-clock time is nondeterministic; keep it outside simulated state (annotate host-side timing with rarlint:allow)", fn.Name())
+	}
 	switch fn.Pkg().Path() {
-	case "time":
-		if fn.Name() == "Now" || fn.Name() == "Since" {
-			return fmt.Sprintf("call to time.%s: wall-clock time is nondeterministic; keep it outside simulated state (annotate host-side timing with rarlint:allow)", fn.Name())
-		}
 	case "math/rand", "math/rand/v2":
 		// rand.New / rand.NewSource / rand.NewPCG build the explicitly
 		// seeded local generator the check asks for: deterministic.
@@ -97,6 +106,11 @@ func nondeterministicCall(p *Package, call *ast.CallExpr) string {
 		}
 	}
 	return ""
+}
+
+// wallClock reports whether fn is time.Now or time.Since.
+func wallClock(fn *types.Func) bool {
+	return fn.Pkg() != nil && fn.Pkg().Path() == "time" && (fn.Name() == "Now" || fn.Name() == "Since")
 }
 
 // calleeFunc resolves the called function, if it is a named one.

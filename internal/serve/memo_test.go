@@ -15,7 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"rarsim/internal/config"
 	"rarsim/internal/sim"
@@ -153,7 +152,8 @@ func TestReplyMemoRevalidates(t *testing.T) {
 
 // TestReplyMemoSkipsFailures: no reply but a 200 is stored, so a
 // repeated failing body is handled afresh and a failing runner is
-// called again.
+// called again. No failure carries an ETag: only a 200 or a 304 has a
+// tag a client may revalidate with.
 func TestReplyMemoSkipsFailures(t *testing.T) {
 	tiny := mustJSON(t, testRequest())
 	unknown := testRequest()
@@ -171,14 +171,17 @@ func TestReplyMemoSkipsFailures(t *testing.T) {
 		{"unknown-bench", sim.NewEngine(), mustJSON(t, unknown), http.StatusBadRequest, 0},
 		{"too-large", sim.NewEngine(), huge, http.StatusRequestEntityTooLarge, 0},
 		{"runner-error", errRunner{}, tiny, http.StatusInternalServerError, 2},
-		{"failed-cell", &failingRunner{retryAfter: time.Second}, tiny, http.StatusServiceUnavailable, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			runner := &countingRunner{Runner: tc.runner}
 			srv := New(runner, sim.NewPool(1))
 			for i := 0; i < 2; i++ {
-				if rec := serveBody(srv.Handler(), tc.body, ""); rec.Code != tc.status {
+				rec := serveBody(srv.Handler(), tc.body, "")
+				if rec.Code != tc.status {
 					t.Fatalf("request %d: status %d, want %d: %s", i, rec.Code, tc.status, rec.Body.Bytes())
+				}
+				if etag := rec.Header().Get("ETag"); etag != "" {
+					t.Errorf("request %d: a %d carries ETag %s", i, rec.Code, etag)
 				}
 			}
 			if n := runner.calls.Load(); n != tc.calls {

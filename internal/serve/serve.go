@@ -13,8 +13,9 @@
 //     hash and the cells' config hashes, so If-None-Match answers 304
 //     without touching the cache or the pool (simulation results are
 //     deterministic in the request identity);
-//   - failing cells are answered 503 + Retry-After from the engine's
-//     negative cache instead of re-simulating per request;
+//   - a failed cell is simulated once: the engine remembers its error as
+//     it remembers a result, and every request that names the cell gets
+//     a 500 carrying that error;
 //   - a POST whose body is byte-identical to one already answered 200 is
 //     replayed from a bounded reply memo (memo.go), without decoding,
 //     resolving, running or encoding anything.
@@ -31,7 +32,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -67,8 +67,7 @@ type Server struct {
 	okResponses atomic.Uint64 //rarlint:guardedby atomic  200s
 	notModified atomic.Uint64 //rarlint:guardedby atomic  304s
 	clientErrs  atomic.Uint64 //rarlint:guardedby atomic  4xx
-	unavailable atomic.Uint64 //rarlint:guardedby atomic  503s (negative-cached cell failures)
-	serverErrs  atomic.Uint64 //rarlint:guardedby atomic  other 5xx
+	serverErrs  atomic.Uint64 //rarlint:guardedby atomic  5xx
 	cellsServed atomic.Uint64 //rarlint:guardedby atomic  cells across all 200s
 	replyHits   atomic.Uint64 //rarlint:guardedby atomic  200s and 304s answered from the reply memo
 }
@@ -150,11 +149,11 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 
 	etag := sim.MatrixETag(spec.keys)
-	w.Header().Set("ETag", etag)
 	if etagMatches(r.Header.Get("If-None-Match"), etag) {
 		// The tag is derived from the request identity and results are
 		// deterministic in it, so the client's copy is current by
 		// construction — no cache lookup, no simulation.
+		w.Header().Set("ETag", etag)
 		s.notModified.Add(1)
 		w.WriteHeader(http.StatusNotModified)
 		return
@@ -162,16 +161,6 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 
 	rs, err := s.engine.RunMatrixOn(s.pool, spec.cores, spec.schemes, spec.benches, spec.opt)
 	if err != nil {
-		var fce *sim.FailedCellError
-		if errors.As(err, &fce) {
-			// The engine's negative cache is holding a recent failure:
-			// tell clients when retrying could possibly help.
-			s.unavailable.Add(1)
-			secs := int64(fce.RetryAfter/time.Second) + 1
-			w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
 		s.serverErrs.Add(1)
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -286,7 +275,6 @@ type HTTPCounters struct {
 	OK             uint64  `json:"ok"`
 	NotModified    uint64  `json:"notModified"`
 	ClientErrors   uint64  `json:"clientErrors"`
-	Unavailable    uint64  `json:"unavailable"`
 	ServerErrors   uint64  `json:"serverErrors"`
 	CellsServed    uint64  `json:"cellsServed"`
 	P50Millis      float64 `json:"p50Millis"`
@@ -333,7 +321,6 @@ func (s *Server) snapshot() Snapshot {
 			OK:             s.okResponses.Load(),
 			NotModified:    s.notModified.Load(),
 			ClientErrors:   s.clientErrs.Load(),
-			Unavailable:    s.unavailable.Load(),
 			ServerErrors:   s.serverErrs.Load(),
 			CellsServed:    s.cellsServed.Load(),
 			P50Millis:      float64(p50) / float64(time.Millisecond),

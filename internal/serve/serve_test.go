@@ -3,14 +3,12 @@ package serve
 // End-to-end tests over httptest: real engine, real simulations (tiny
 // cells), concurrent requests. Run under -race via `make ci`, these are
 // the server's concurrency contract: cross-request dedup, ETag
-// revalidation, negative-cache 503s, graceful drain.
+// revalidation, graceful drain.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"math"
 	"net"
@@ -296,39 +294,6 @@ func TestValidation(t *testing.T) {
 
 	if m := eng.Metrics(); m.Simulated != 0 || m.Errors != 0 {
 		t.Errorf("validation failures reached the engine: %+v", m)
-	}
-}
-
-// failingRunner fakes an engine whose matrix is held in the negative
-// cache: every run fails with a FailedCellError.
-type failingRunner struct {
-	retryAfter time.Duration
-}
-
-func (f *failingRunner) RunMatrixOn(*sim.Pool, []config.Core, []config.Scheme, []trace.Benchmark, sim.Options) (*sim.ResultSet, error) {
-	fce := &sim.FailedCellError{Err: errors.New("boom"), RetryAfter: f.retryAfter}
-	return nil, fmt.Errorf("sim: 1 cell(s) failed: %w", fce)
-}
-
-func (f *failingRunner) Metrics() sim.Metrics { return sim.Metrics{} }
-
-// TestFailedCellIs503WithRetryAfter: a FailedCellError anywhere in the
-// matrix error chain surfaces as 503 + Retry-After, the HTTP face of
-// the engine's negative cache.
-func TestFailedCellIs503WithRetryAfter(t *testing.T) {
-	srv := New(&failingRunner{retryAfter: 42 * time.Second}, sim.NewPool(1))
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	status, hdr, body := post(t, ts.URL+"/matrix", testRequest(), nil)
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503; body %s", status, body)
-	}
-	if got := hdr.Get("Retry-After"); got != "43" {
-		t.Errorf("Retry-After = %q, want %q (ceil of 42s)", got, "43")
-	}
-	if !bytes.Contains(body, []byte("boom")) {
-		t.Errorf("error body %s does not carry the cause", body)
 	}
 }
 

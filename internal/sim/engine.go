@@ -186,16 +186,16 @@ type Metrics struct {
 	Hits uint64
 	// DiskHits counts the subset of Hits loaded from the on-disk cache.
 	DiskHits uint64
-	// Errors counts failed simulations (never cached as results). Failures
-	// already surface to callers through Run's error return; this counter
-	// exists for engine observability and is consumed by engine clients.
+	// Errors counts failed simulations. Failures already surface to
+	// callers through Run's error return; this counter exists for engine
+	// observability and is consumed by engine clients.
 	Errors uint64
-	// ErrHits counts requests answered from the negative cache: the cell
-	// failed recently and SetFailureTTL told the engine to remember that
-	// instead of re-simulating (the server turns these into 503s).
+	// ErrHits counts requests answered with a remembered failure: the
+	// cell's simulation failed earlier in this engine's lifetime, and the
+	// engine returns that error instead of simulating it again.
 	ErrHits uint64
-	// Unique is the number of distinct cells currently held in memory
-	// (including, under a failure TTL, cached failures).
+	// Unique is the number of distinct cells held in memory, failed cells
+	// included.
 	Unique int
 	// SimTime is the cumulative wall-clock time spent inside the
 	// simulator (summed across parallel workers).
@@ -234,9 +234,6 @@ type cellEntry struct {
 	done  chan struct{}
 	stats core.Stats
 	err   error
-	// expires is the negative-cache deadline of a failed cell; zero for
-	// successes and for failures recorded without a failure TTL.
-	expires time.Time
 }
 
 // memHit reports whether ent (nil for a key not in memory) holds a
@@ -259,23 +256,6 @@ func (e *Engine) memHit(ent *cellEntry) bool {
 	return true
 }
 
-// FailedCellError is the error returned for a cell under a failure TTL
-// (SetFailureTTL): the simulation failed — just now, or recently enough
-// that the negative cache is still holding the result — and the cell
-// will not be retried until RetryAfter elapses. Servers map this onto
-// HTTP 503 + Retry-After.
-type FailedCellError struct {
-	Key        CellKey
-	Err        error
-	RetryAfter time.Duration
-}
-
-func (e *FailedCellError) Error() string {
-	return fmt.Sprintf("%s failed (retry after %s): %v", e.Key, e.RetryAfter.Round(time.Millisecond), e.Err)
-}
-
-func (e *FailedCellError) Unwrap() error { return e.Err }
-
 // Engine memoizes simulation cells. It is safe for concurrent use; an
 // engine shared across experiment matrices simulates each unique cell
 // exactly once. The zero value is not usable — construct with NewEngine
@@ -292,15 +272,6 @@ type Engine struct {
 	dir   string                 //rarlint:guardedby init  versioned persistence directory; "" = memory only
 	store *diskStore             //rarlint:guardedby init  LRU index over dir; nil = memory only (internally locked)
 
-	// failTTL > 0 keeps failed cells in a negative cache for that long
-	// (see SetFailureTTL); 0 restores the historical delete-and-retry.
-	failTTL time.Duration //rarlint:guardedby init
-
-	// now is the wall clock used for negative-cache expiry; replaced in
-	// tests. It is host-side timing only: expiry never enters simulated
-	// state or the cache key.
-	now func() time.Time //rarlint:guardedby init
-
 	// runCell performs one simulation; replaced in tests.
 	runCell func(config.Core, config.Scheme, trace.Benchmark, Options) (core.Stats, error) //rarlint:guardedby init
 }
@@ -310,19 +281,8 @@ func NewEngine() *Engine {
 	return &Engine{
 		cells:   make(map[CellKey]*cellEntry),
 		runCell: Run,
-		now:     time.Now,
 	}
 }
-
-// SetFailureTTL enables negative-result caching: a failed cell's error is
-// remembered for d, and every request inside that window is answered
-// with a FailedCellError immediately instead of re-running a simulation
-// that just demonstrably failed. Without it, N queued requests for a
-// failing cell retry the full simulation back-to-back — a thundering
-// herd a long-running server cannot afford. d <= 0 restores the
-// historical behaviour (failures forgotten immediately, every request
-// retries). Set before the engine is shared across goroutines.
-func (e *Engine) SetFailureTTL(d time.Duration) { e.failTTL = d }
 
 // NewPersistentEngine returns an engine that additionally persists every
 // simulated cell as JSON under dir/v-<schema hash>/, and warm-starts
@@ -375,12 +335,11 @@ func (e *Engine) Metrics() Metrics {
 
 // Run returns the statistics of one cell, simulating it only if no
 // earlier call (or persisted entry) already did. Concurrent calls with
-// the same key share a single simulation. Errors are returned to every
-// waiter; under a failure TTL (SetFailureTTL) they are additionally held
-// in a negative cache for the TTL and surfaced as *FailedCellError, so
-// at most one simulation of a failing cell runs per retry window.
-// Without a TTL a failure is forgotten immediately and a later call
-// retries.
+// the same key share a single simulation. A failure is a result too: its
+// error is returned to every waiter and kept for the engine's lifetime,
+// so every later call returns it without simulating the cell again (a
+// cell's outcome is a function of its key, so a retry would fail the
+// same way).
 func (e *Engine) Run(cfg config.Core, scheme config.Scheme, bench trace.Benchmark, opt Options) (core.Stats, error) {
 	return e.run(nil, KeyFor(cfg, scheme, bench, opt), cfg, scheme, bench, opt)
 }
@@ -398,15 +357,11 @@ func (e *Engine) run(pool *Pool, key CellKey, cfg config.Core, scheme config.Sch
 		return ent.stats, nil
 	}
 	if ok && ent.err != nil {
-		// A resolved failure sits in the negative cache (only failure
-		// entries outlive their runner with err set; in-flight entries
-		// publish err strictly under this lock, before closing done).
-		if rem := ent.expires.Sub(e.now()); rem > 0 {
-			e.m.ErrHits++
-			e.mu.Unlock()
-			return core.Stats{}, &FailedCellError{Key: key, Err: ent.err, RetryAfter: rem}
-		}
-		ok = false // retry window over: fall through and re-simulate
+		// A remembered failure (the runner publishes err under this
+		// lock, so a set err is final even before done is closed).
+		e.m.ErrHits++
+		e.mu.Unlock()
+		return core.Stats{}, ent.err
 	}
 	if ok {
 		// In flight: wait for the runner without holding the lock.
@@ -415,9 +370,6 @@ func (e *Engine) run(pool *Pool, key CellKey, cfg config.Core, scheme config.Sch
 		if ent.err != nil {
 			// The shared simulation failed. The runner counted the error;
 			// this waiter served nothing, so it must not count a hit.
-			if e.failTTL > 0 {
-				return core.Stats{}, &FailedCellError{Key: key, Err: ent.err, RetryAfter: e.failTTL}
-			}
 			return core.Stats{}, ent.err
 		}
 		e.mu.Lock()
@@ -460,16 +412,6 @@ func (e *Engine) run(pool *Pool, key CellKey, cfg config.Core, scheme config.Sch
 	ent.stats, ent.err = st, err
 	if err != nil {
 		e.m.Errors++
-		if e.failTTL > 0 {
-			// Hold the failure: requests inside the window are answered
-			// from the negative cache instead of re-simulating.
-			ent.expires = e.now().Add(e.failTTL)
-		} else {
-			// A failed cell must never serve its zero-value stats: drop
-			// the entry entirely so later requests retry rather than
-			// reading garbage.
-			delete(e.cells, key)
-		}
 	} else {
 		e.m.Simulated++
 		e.m.SimTime += dur
@@ -477,9 +419,6 @@ func (e *Engine) run(pool *Pool, key CellKey, cfg config.Core, scheme config.Sch
 	e.mu.Unlock()
 	close(ent.done)
 	if err != nil {
-		if e.failTTL > 0 {
-			return core.Stats{}, &FailedCellError{Key: key, Err: err, RetryAfter: e.failTTL}
-		}
 		return core.Stats{}, err
 	}
 	e.storeDisk(key, st, dur)
@@ -618,7 +557,7 @@ func (e *Engine) RunMatrixOn(pool *Pool, cores []config.Core, schemes []config.S
 
 	// One pass under the lock copies every finished, successful memory
 	// entry into the result set. rest keeps the cells left for the
-	// workers: in flight, negative-cached, on disk or to simulate.
+	// workers: in flight, failed, on disk or to simulate.
 	rest := make([]int, 0, len(keys))
 	e.mu.Lock()
 	for i, k := range keys {

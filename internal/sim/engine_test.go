@@ -349,7 +349,7 @@ func TestEngineSingleflight(t *testing.T) {
 // simulation which then FAILS has been served nothing — it must not count
 // a cache hit (the engine used to increment Hits before waiting, so every
 // waiter on a doomed cell inflated the hit rate), and the failure itself
-// is counted exactly once, by the runner.
+// is counted exactly once, by the runner of the one simulation.
 func TestEngineWaitersOnFailedCellAreNotHits(t *testing.T) {
 	var sims atomic.Int64
 	started := make(chan struct{})
@@ -379,37 +379,112 @@ func TestEngineWaitersOnFailedCellAreNotHits(t *testing.T) {
 	<-started // the runner is inside the (gated) simulation
 
 	const waiters = 8
-	var ready sync.WaitGroup
-	ready.Add(waiters)
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
-		go func() {
-			ready.Done()
-			call()
-		}()
+		go call()
 	}
-	ready.Wait()
-	time.Sleep(20 * time.Millisecond) // let the waiters reach the in-flight entry
+	waitInFlight(t, waiters)
 	close(release)
 	wg.Wait()
 
 	if got := errCount.Load(); got != waiters+1 {
 		t.Errorf("%d of %d callers saw the error", got, waiters+1)
 	}
-	m := e.Metrics()
-	if m.Hits != 0 {
-		t.Errorf("failed cell produced %d cache hits, want 0", m.Hits)
+	if n := sims.Load(); n != 1 {
+		t.Errorf("simulated %d times, want 1", n)
 	}
-	if m.Simulated != 0 {
-		t.Errorf("failed cell counted as %d successful simulations", m.Simulated)
+	if m := e.Metrics(); m.Hits != 0 || m.ErrHits != 0 || m.Simulated != 0 || m.Errors != 1 {
+		t.Errorf("metrics = %+v, want 0 hits, 0 error hits, 0 simulated and 1 error", m)
 	}
-	// Stragglers that missed the in-flight window re-simulate (and re-fail);
-	// every actual simulation attempt is an error, counted exactly once.
-	if m.Errors != uint64(sims.Load()) {
-		t.Errorf("errors=%d, want one per simulation attempt (%d)", m.Errors, sims.Load())
+}
+
+// TestEngineSimulatesFailedCellOnce: a failure is a result. Concurrent
+// calls for a failing cell share one simulation and all get its error;
+// every later Run or RunMatrix call gets the same cause from memory, for
+// the engine's lifetime, and counts as an error hit. Only a fresh engine
+// simulates the cell again.
+func TestEngineSimulatesFailedCellOnce(t *testing.T) {
+	boom := errors.New("boom")
+	var sims atomic.Int64
+	started := make(chan struct{})
+	release := make(chan struct{})
+	runCell := func(cfg config.Core, s config.Scheme, b trace.Benchmark, o Options) (core.Stats, error) {
+		if sims.Add(1) == 1 {
+			close(started)
+			<-release
+		}
+		return core.Stats{}, boom
 	}
-	if m.Errors == 0 {
-		t.Error("no error was counted at all")
+	e := NewEngine()
+	e.runCell = runCell
+	cfg := config.Baseline()
+	bench := twoBenches(t)[0]
+	opt := smallOpt()
+
+	const callers = 8
+	errs := make(chan error, callers)
+	call := func() {
+		_, err := e.Run(cfg, config.RAR, bench, opt)
+		errs <- err
+	}
+	go call()
+	<-started // the runner is inside the (gated) simulation
+	for i := 1; i < callers; i++ {
+		go call()
+	}
+	waitInFlight(t, callers-1)
+	close(release)
+	for i := 0; i < callers; i++ {
+		if err := <-errs; !errors.Is(err, boom) {
+			t.Errorf("concurrent call: err = %v, want %v", err, boom)
+		}
+	}
+
+	const later = 3
+	for i := 0; i < later; i++ {
+		if _, err := e.Run(cfg, config.RAR, bench, opt); !errors.Is(err, boom) {
+			t.Errorf("later Run: err = %v, want %v", err, boom)
+		}
+	}
+	rs, err := e.RunMatrix([]config.Core{cfg}, []config.Scheme{config.RAR}, []trace.Benchmark{bench}, opt)
+	if rs != nil || !errors.Is(err, boom) {
+		t.Fatalf("later RunMatrix: rs=%v err=%v, want nil set and %v", rs, err, boom)
+	}
+	if key := KeyFor(cfg, config.RAR, bench, opt); !strings.Contains(err.Error(), key.String()) {
+		t.Errorf("RunMatrix error %q does not name %s", err, key)
+	}
+	if n := sims.Load(); n != 1 {
+		t.Fatalf("simulated %d times in one engine, want 1", n)
+	}
+	if m := e.Metrics(); m.Errors != 1 || m.Simulated != 0 || m.Hits != 0 || m.ErrHits != later+1 || m.Unique != 1 {
+		t.Errorf("metrics = %+v, want 1 error, 0 simulated, 0 hits, %d error hits, 1 unique", m, later+1)
+	}
+
+	fresh := NewEngine()
+	fresh.runCell = runCell
+	if _, err := fresh.Run(cfg, config.RAR, bench, opt); !errors.Is(err, boom) {
+		t.Errorf("fresh engine: err = %v, want %v", err, boom)
+	}
+	if n := sims.Load(); n != 2 {
+		t.Errorf("simulated %d times across two engines, want 2", n)
+	}
+}
+
+// waitInFlight returns once n goroutines are blocked in Engine.run on
+// an in-flight cell, as a dump of every goroutine's stack shows them.
+func waitInFlight(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for tries := 0; ; tries++ {
+		dump := string(buf[:runtime.Stack(buf, true)])
+		waiting := strings.Count(dump, "[chan receive]:\nrarsim/internal/sim.(*Engine).run(")
+		if waiting >= n {
+			return
+		}
+		if tries == 10_000 {
+			t.Fatalf("%d of %d callers reached the in-flight cell", waiting, n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -547,14 +622,14 @@ func TestMatrixAnswersMemoryHitsInline(t *testing.T) {
 
 // TestMatrixNegativeCachedCellStillFails: the inline hit pass never
 // answers a failed cell. A matrix holding one, beside a cell in memory,
-// serves the memory hit and fails with the negative cache's
-// FailedCellError, without simulating either cell again.
+// serves the memory hit and fails with the remembered error, which names
+// the failed cell, without simulating either cell again.
 func TestMatrixNegativeCachedCellStillFails(t *testing.T) {
+	boom := errors.New("boom")
 	e := NewEngine()
-	e.SetFailureTTL(time.Minute)
 	e.runCell = func(cfg config.Core, s config.Scheme, b trace.Benchmark, o Options) (core.Stats, error) {
 		if s.Name == config.RAR.Name {
-			return core.Stats{}, errors.New("boom")
+			return core.Stats{}, boom
 		}
 		return stubCell(cfg, s, b, o)
 	}
@@ -564,23 +639,24 @@ func TestMatrixNegativeCachedCellStillFails(t *testing.T) {
 	opt := smallOpt()
 	opt.Parallelism = 1 // OoO simulates before RAR fails
 
+	want := KeyFor(cores[0], config.RAR, benches[0], opt)
 	for pass := 0; pass < 2; pass++ {
 		rs, err := e.RunMatrix(cores, schemes, benches, opt)
-		var fce *FailedCellError
-		if rs != nil || !errors.As(err, &fce) {
-			t.Fatalf("pass %d: rs=%v err=%v, want nil set and a FailedCellError", pass, rs, err)
+		if rs != nil || !errors.Is(err, boom) {
+			t.Fatalf("pass %d: rs=%v err=%v, want nil set and %v", pass, rs, err, boom)
 		}
-		if want := KeyFor(cores[0], config.RAR, benches[0], opt); fce.Key != want {
-			t.Errorf("pass %d: FailedCellError names %s, want %s", pass, fce.Key, want)
+		if !strings.Contains(err.Error(), want.String()) {
+			t.Errorf("pass %d: error %q does not name %s", pass, err, want)
 		}
 	}
 	if m := e.Metrics(); m.Simulated != 1 || m.Errors != 1 || m.Hits != 1 || m.ErrHits != 1 {
-		t.Errorf("metrics = %+v, want 1 simulated, 1 error, 1 hit, 1 negative-cache hit", m)
+		t.Errorf("metrics = %+v, want 1 simulated, 1 error, 1 hit, 1 error hit", m)
 	}
 }
 
-// TestRunMatrixFailuresAreNotStored: a failed cell must neither appear
-// in any result set nor poison the memo cache — a retry simulates it
+// TestRunMatrixFailuresAreNotStored: a failed cell never appears in a
+// result set. The engine remembers the failure, so its matrix keeps
+// failing after the fault clears; a fresh engine simulates the cell
 // again.
 func TestRunMatrixFailuresAreNotStored(t *testing.T) {
 	fail := atomic.Bool{}
@@ -605,22 +681,30 @@ func TestRunMatrixFailuresAreNotStored(t *testing.T) {
 	if !strings.Contains(err.Error(), "baseline/RAR/"+benches[0].Name) {
 		t.Errorf("error %q does not name the failed cell", err)
 	}
-	if m := e.Metrics(); m.Errors != 1 || m.Unique != 1 {
-		t.Errorf("metrics after failure = %+v, want 1 error and only the OoO cell cached", m)
+	if m := e.Metrics(); m.Simulated != 1 || m.Errors != 1 || m.Unique != 2 {
+		t.Errorf("metrics after failure = %+v, want the OoO cell simulated and the RAR failure remembered", m)
 	}
 
-	// The failure is not memoized: clearing the fault and retrying works,
-	// reusing the successful cell and re-simulating the failed one.
+	// The failure is a result of this engine: clearing the fault changes
+	// nothing until a fresh engine simulates the cell.
 	fail.Store(false)
-	rs, err = e.RunMatrix(cores, schemes, benches, opt)
+	if rs, err := e.RunMatrix(cores, schemes, benches, opt); rs != nil || err == nil {
+		t.Fatalf("after the fault cleared: rs=%v err=%v, want the remembered failure", rs, err)
+	}
+	if m := e.Metrics(); m.Simulated != 1 || m.Errors != 1 || m.ErrHits != 1 {
+		t.Errorf("metrics after repeat = %+v, want 1 simulated, 1 error, 1 error hit", m)
+	}
+	fresh := NewEngine()
+	fresh.runCell = e.runCell
+	rs, err = fresh.RunMatrix(cores, schemes, benches, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := rs.Stats("baseline", "RAR", benches[0].Name); !ok {
-		t.Error("retried cell missing from the result set")
+	if st, ok := rs.Stats("baseline", "RAR", benches[0].Name); !ok || st.Cycles != 7 {
+		t.Errorf("fresh engine's RAR cell = %+v, %v; want simulated stats", st, ok)
 	}
-	if m := e.Metrics(); m.Simulated != 2 {
-		t.Errorf("simulated=%d after retry, want 2", m.Simulated)
+	if m := fresh.Metrics(); m.Simulated != 2 || m.Errors != 0 {
+		t.Errorf("fresh engine metrics = %+v, want 2 simulated, 0 errors", m)
 	}
 }
 

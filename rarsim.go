@@ -26,8 +26,6 @@
 package rarsim
 
 import (
-	"sync"
-
 	"rarsim/internal/ace"
 	"rarsim/internal/config"
 	"rarsim/internal/core"
@@ -128,7 +126,7 @@ func Run(cfg CoreConfig, scheme Scheme, benchName string, opt Options) (Stats, e
 // RunMatrix simulates every combination in parallel. Include the OoO
 // scheme if you want normalised metrics from the ResultSet. Identical
 // cells within the matrix are simulated once; nothing is shared across
-// calls — see RunMatrixCached and Engine for cross-call memoization.
+// calls — see Engine for cross-call memoization.
 func RunMatrix(cores []CoreConfig, schemes []Scheme, benches []Benchmark, opt Options) (*ResultSet, error) {
 	return sim.RunMatrix(cores, schemes, benches, opt)
 }
@@ -158,22 +156,6 @@ func NewEngine() *Engine { return sim.NewEngine() }
 // entries from incompatible builds self-invalidate) and warm-starts from
 // entries found there.
 func NewPersistentEngine(dir string) (*Engine, error) { return sim.NewPersistentEngine(dir) }
-
-// defaultEngine backs RunMatrixCached: one process-wide memo shared by
-// every caller that does not manage its own Engine.
-var (
-	defaultEngine     *Engine
-	defaultEngineOnce sync.Once
-)
-
-// RunMatrixCached is RunMatrix through a process-wide shared Engine:
-// cells already simulated by any earlier RunMatrixCached call — in this
-// or any other matrix shape — are cache hits. Use a dedicated Engine for
-// isolation or on-disk persistence.
-func RunMatrixCached(cores []CoreConfig, schemes []Scheme, benches []Benchmark, opt Options) (*ResultSet, error) {
-	defaultEngineOnce.Do(func() { defaultEngine = sim.NewEngine() })
-	return defaultEngine.RunMatrix(cores, schemes, benches, opt)
-}
 
 // InjectionCampaign configures a statistical fault-injection run: random
 // (cycle, structure, entry) soft-error strikes classified by the fate of

@@ -20,8 +20,7 @@ trap cleanup EXIT
 go build -race -o "$tmp/rarserved" ./cmd/rarserved
 go build -race -o "$tmp/rarload" ./cmd/rarload
 
-"$tmp/rarserved" -addr 127.0.0.1:0 -cache "$tmp/cache" -failure-ttl 10s \
-    > "$tmp/server.log" 2>&1 &
+"$tmp/rarserved" -addr 127.0.0.1:0 -cache "$tmp/cache" > "$tmp/server.log" 2>&1 &
 server_pid=$!
 
 # The server prints "listening on <addr>" once the listener is bound.
