@@ -6,19 +6,16 @@
 // (//rarlint:pure), completeness of the runahead exit/flush restore set
 // (//rarlint:survives), dimensional consistency of the metrics
 // (//rarlint:unit), guarded-by lock discipline (//rarlint:guardedby),
-// allocation-freedom of the hot loop (//rarlint:hot), next-event
-// coverage of every stage-written field (//rarlint:quiescent), and
-// exact agreement between the bulk-advance write set and the declared
-// n-scalable fields (//rarlint:nscaled). Pure standard library —
-// go/parser, go/ast, go/types — with no external dependencies.
+// and allocation-freedom of the hot loop (//rarlint:hot). Pure standard
+// library — go/parser, go/ast, go/types — with no external dependencies.
 //
 // Usage:
 //
-//	rarlint ./...                     # whole module, all checks (CI mode)
-//	rarlint -checks ffsound,skipset   # a subset of the checks
-//	rarlint -json ./...               # schema-stable JSON findings for CI
-//	rarlint -tests ./...              # load and analyze _test.go files too
-//	rarlint path/to/module            # another module root (e.g. a corpus)
+//	rarlint ./...                      # whole module, all checks (CI mode)
+//	rarlint -checks purity,flushreset  # a subset of the checks
+//	rarlint -json ./...                # schema-stable JSON findings for CI
+//	rarlint -tests ./...               # load and analyze _test.go files too
+//	rarlint path/to/module             # another module root (e.g. a corpus)
 //
 // Exit status: 0 clean, 1 findings, 2 load error. Audited exceptions are
 // annotated in place, on the flagged line or alone on the line above it:

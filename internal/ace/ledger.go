@@ -14,14 +14,12 @@ type Ledger struct {
 	headBlocked [NumStructures]uint64 //rarlint:unit bitcycles
 	fullStall   [NumStructures]uint64 //rarlint:unit bitcycles
 
-	//rarlint:nscaled blocked-cycle accumulator: Advance adds n for n cycles, 1 per simulated cycle
 	cumHeadBlocked uint64 //rarlint:unit cycles
-	//rarlint:nscaled blocked-cycle accumulator: Advance adds n for n cycles, 1 per simulated cycle
-	cumFullStall uint64 //rarlint:unit cycles
+	cumFullStall   uint64 //rarlint:unit cycles
 
 	// Optional timeline bucketing (timeline.go).
 	windowCycles uint64
-	nowCycle     uint64 //rarlint:nscaled SetCycle lands the ledger on the post-skip cycle; intermediate values are never observed
+	nowCycle     uint64
 	windows      []uint64
 }
 

@@ -19,11 +19,11 @@ import (
 // this pins the full equivalence square: batched==scalar and FF on==off.
 
 // runBlockAB runs (scheme, bench) batched and scalar and returns both
-// measured Stats.
+// runs' measured and whole-run Stats (runWhole).
 func runBlockAB(t *testing.T, scheme config.Scheme, benchName string,
-	warmup, measured uint64) (batched, scalar Stats) {
+	warmup, measured uint64) (batched, scalar [2]Stats) {
 	t.Helper()
-	run := func(blockFace bool) Stats {
+	run := func(blockFace bool) [2]Stats {
 		b, err := trace.ByName(benchName)
 		if err != nil {
 			t.Fatal(err)
@@ -33,7 +33,7 @@ func runBlockAB(t *testing.T, scheme config.Scheme, benchName string,
 			src = trace.ScalarOnly(src)
 		}
 		c := NewFromSource(config.Baseline(), scheme, b.Name, src)
-		st, err := c.RunWarm(warmup, measured)
+		st, err := runWhole(c, warmup, measured)
 		if err != nil {
 			t.Fatalf("%s/%s block=%v: %v", scheme.Name, benchName, blockFace, err)
 		}
@@ -57,7 +57,7 @@ func TestBatchedSynthesisEquivalence(t *testing.T) {
 				t.Parallel()
 				batched, scalar := runBlockAB(t, s, bn, 5_000, 30_000)
 				if !reflect.DeepEqual(batched, scalar) {
-					t.Errorf("stats diverge with batched synthesis:\nbatched: %+v\n scalar: %+v",
+					t.Errorf("stats (measured window, whole run) diverge with batched synthesis:\nbatched: %+v\n scalar: %+v",
 						batched, scalar)
 				}
 			})

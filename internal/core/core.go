@@ -53,22 +53,21 @@ type Core struct {
 	regs   *regFile
 	arena  uopArena
 
-	//rarlint:nscaled the skip target itself: bulkAdvance jumps it to the bounded next-event cycle
 	cycle uint64 //rarlint:unit cycles
-	seq   uint64 //rarlint:quiescent uop numbering source: advances only when stage-driven fetch creates uops
+	seq   uint64 // sequence number of the newest uop
 
 	// Front-end.
 	frontQ          frontRing
 	fetchStallUntil uint64 //rarlint:unit cycles
-	wrongPath       bool   //rarlint:quiescent wrong-path fetch latch: only stage-driven fetch consults it
-	wpPC            uint64 //rarlint:quiescent wrong-path fetch cursor: only stage-driven fetch consults it
+	wrongPath       bool
+	wpPC            uint64
 	// wpScratch receives one fetch group's batch of synthesised
 	// wrong-path instructions (fetchWrongPathGroup); sized Width.
 	wpScratch []isa.Inst
 	// wpSynthetic counts synthesised wrong-path instructions still to
 	// fetch: >0 for a bounded hammock body, -1 for a non-reconvergent
 	// path, 0 while off-path means fetch reconverged onto the stream.
-	wpSynthetic int //rarlint:quiescent wrong-path fetch cursor: only stage-driven fetch consults it
+	wpSynthetic int
 
 	// Back-end. Every list below that names uops holds uopRefs and keeps
 	// its length in an int field beside a slice allocated at construction
@@ -101,7 +100,7 @@ type Core struct {
 	lqCount  int
 	// sqList[:sqLen] holds the in-flight stores in age order, for
 	// forwarding.
-	sqList []uopRef //rarlint:quiescent store-queue entries: dispatch is bounded by their count, sqLen; only stage-driven issue reads them
+	sqList []uopRef
 	sqLen  int
 	// Completion wheel: in-flight executions bucketed by completion cycle
 	// (a calendar queue), so completeStage touches exactly the uops due
@@ -116,12 +115,12 @@ type Core struct {
 	// cwBuf[i*cwCap:][:cwLen[i]]: the buckets share one backing at a fixed
 	// stride, which doubles (growStrided) the first time any bucket would
 	// outgrow it.
-	cwBuf []waiter //rarlint:quiescent completion-wheel entries: the probe bounds the skip by bucket occupancy, cwLen; only stage-driven completion reads them
+	cwBuf []waiter
 	cwLen [cwSize]int32
-	cwCap int //rarlint:quiescent completion-wheel stride: allocation layout with no timing content
+	cwCap int
 	// cwOverflow[:cwOvLen] is the spill list.
-	cwOverflow []cwEntry //rarlint:quiescent completion-wheel spill: its earliest deadline is covered separately via cwOvMin
-	cwOvLen    int       //rarlint:quiescent completion-wheel spill: its earliest deadline is covered separately via cwOvMin
+	cwOverflow []cwEntry
+	cwOvLen    int
 	// cwOvMin is the earliest doneAt in cwOverflow (noEvent when
 	// empty); it may go stale-low via squashed entries, which costs a
 	// redundant migration scan, never a missed completion.
@@ -142,11 +141,11 @@ type Core struct {
 	// registrations (makeWaiterRoom), and the stride doubles (growStrided) only
 	// when a register holds more live ones.
 	//rarlint:survives seq-guarded: entries registered in runahead are inert after the squash recycles their uops
-	waitBuf []waiter //rarlint:quiescent wakeup lists: drained by stage-driven completion, whose timing fill and FU events cover
+	waitBuf []waiter
 	//rarlint:survives seq-guarded: entries registered in runahead are inert after the squash recycles their uops
-	waitLen []int32 //rarlint:quiescent wakeup lists: drained by stage-driven completion, whose timing fill and FU events cover
+	waitLen []int32
 	//rarlint:survives allocation layout with no architectural content
-	waitCap int //rarlint:quiescent wakeup-list stride: allocation layout with no timing content
+	waitCap int
 
 	// bpSnapArena backs the history snapshots of in-flight mispredicted
 	// branches, indexed by uop.bpSnap. Only mispredicts allocate a slot
@@ -155,27 +154,25 @@ type Core struct {
 	// the owning uop is released; a freed slot's content is dead, so
 	// neither list needs restoring at runahead exit. Both grow together,
 	// one slot at a time, to the high-water mark of live mispredicts.
-	bpSnapArena []branch.Snapshot //rarlint:quiescent snapshot allocator arena: allocation scratch with no timing content
-	bpSnapFree  []int32           //rarlint:quiescent snapshot allocator free list: allocation scratch with no timing content
-	bpSnapFreeN int               //rarlint:quiescent snapshot allocator free list: allocation scratch with no timing content
+	bpSnapArena []branch.Snapshot
+	bpSnapFree  []int32
+	bpSnapFreeN int
 
 	// doneScratch is completeStage's reusable completion buffer, sized
 	// to the arena: no more uops can complete in one cycle.
 	doneScratch []waiter
 
-	fuPools [numFuPools]config.FUPool
-	//rarlint:quiescent per-cycle FU issue tally: recomputed from zero each busy cycle
+	fuPools    [numFuPools]config.FUPool
 	fuIssued   [numFuPools]int    // pipelined pools: ops issued this cycle
 	fuBusyTill [numFuPools]uint64 //rarlint:unit cycles -- unpipelined pools: next free cycle
 
 	// storeBuf[:storeLen] holds the post-commit store addresses awaiting
 	// their L1D write, oldest first.
-	storeBuf []uint64 //rarlint:quiescent post-commit store addresses: the probe reads their count, storeLen; only drainStores reads them
+	storeBuf []uint64
 	storeLen int
 
 	// ROB-head blocking tracking.
-	headSeq uint64 //rarlint:nscaled watchdog bookkeeping: refreshed to the value n blocked ticks would leave
-	//rarlint:nscaled watchdog bookkeeping: refreshed to the value n blocked ticks would leave
+	headSeq   uint64
 	headSince uint64 //rarlint:unit cycles
 
 	// Runahead machinery.
@@ -187,12 +184,12 @@ type Core struct {
 	prdqLen    int
 	sstT       *sst
 	prod       *producers
-	lastWriter [isa.NumRegs]uint64 //rarlint:quiescent store-set training bookkeeping: consulted only during stage-driven dispatch
-	raDiverged bool                //rarlint:quiescent divergence latch: read only on stage-driven runahead paths
+	lastWriter [isa.NumRegs]uint64
+	raDiverged bool
 	chk        checkpoint
 
 	// SST training dedup: last PC trained, to avoid rewalking hot loads.
-	lastTrainedPC uint64 //rarlint:quiescent trainer dedup latch: no timing content
+	lastTrainedPC uint64
 
 	// lastFlushSeq prevents the FLUSH scheme from re-flushing for the
 	// same blocking load every cycle.
@@ -208,7 +205,7 @@ type Core struct {
 	// commits or is squashed; it is empty outside injection campaigns.
 	injSamples []InjectSample
 	injNext    int
-	injTags    []injTag //rarlint:quiescent injection tag list: resolved at commit or squash, never consulted by timing decisions
+	injTags    []injTag
 
 	// auditEvery enables the invariant checker (audit.go) every N cycles.
 	auditEvery uint64
@@ -222,7 +219,7 @@ type Core struct {
 	// missed bump just runs the probe (status quo), an over-bump costs at
 	// most one extra ticked cycle per stall window — so it can never change
 	// results.
-	progress uint64 //rarlint:quiescent watchdog progress latch: consulted by Lockstep, never by skip bounds
+	progress uint64
 	progMark uint64 // progress after this core's previous Lockstep step
 
 	// due is the Lockstep cycle at which this core must next be stepped;
@@ -236,7 +233,7 @@ type Core struct {
 	// in bulk. Both are diagnostics outside Stats — results are identical
 	// either way, by the equivalence contract.
 	noFF      bool
-	ffSkipped uint64 //rarlint:nscaled fast-forward telemetry: counts exactly the cycles the skip replaced
+	ffSkipped uint64
 
 	s Stats
 }
@@ -246,19 +243,13 @@ type Core struct {
 // from it) rather than clearing it; the stale copy left behind is
 // architecturally dead until the next enterRunahead overwrites it.
 type checkpoint struct {
-	//rarlint:quiescent checkpoint payload: consumed at runahead exit, which modeNextEvent bounds via the mode-transition events
-	rat [isa.NumRegs]int16 //rarlint:survives consumed at exit, overwritten by the next entry
-	//rarlint:quiescent checkpoint payload: consumed at runahead exit, which modeNextEvent bounds via the mode-transition events
-	bpSnap branch.Snapshot //rarlint:survives consumed at exit, overwritten by the next entry
+	rat    [isa.NumRegs]int16 //rarlint:survives consumed at exit, overwritten by the next entry
+	bpSnap branch.Snapshot    //rarlint:survives consumed at exit, overwritten by the next entry
 	//rarlint:survives consumed at exit, overwritten by the next entry
-	//rarlint:quiescent checkpoint payload: consumed at runahead exit, which modeNextEvent bounds via the mode-transition events
 	resumeCursor uint64 // fetch cursor to restore on a PRE-style exit
-	//rarlint:quiescent checkpoint payload: consumed at runahead exit, which modeNextEvent bounds via the mode-transition events
-	wrongPath bool //rarlint:survives consumed at exit, overwritten by the next entry
-	//rarlint:quiescent checkpoint payload: consumed at runahead exit, which modeNextEvent bounds via the mode-transition events
-	wpPC uint64 //rarlint:survives consumed at exit, overwritten by the next entry
-	//rarlint:quiescent checkpoint payload: consumed at runahead exit, which modeNextEvent bounds via the mode-transition events
-	wpSynthetic int //rarlint:survives consumed at exit, overwritten by the next entry
+	wrongPath    bool   //rarlint:survives consumed at exit, overwritten by the next entry
+	wpPC         uint64 //rarlint:survives consumed at exit, overwritten by the next entry
+	wpSynthetic  int    //rarlint:survives consumed at exit, overwritten by the next entry
 }
 
 // Stats is the result of one simulation run.
@@ -276,8 +267,7 @@ type Stats struct {
 	Mispredicts       uint64 //rarlint:unit insts
 	WrongPathFetched  uint64
 
-	RunaheadEntries uint64
-	//rarlint:nscaled mode-cycle counter: scales linearly with the skipped span
+	RunaheadEntries  uint64
 	RunaheadCycles   uint64 //rarlint:unit cycles
 	RunaheadExecuted uint64 //rarlint:unit uops -- executed in runahead mode
 	RunaheadDropped  uint64 //rarlint:unit uops -- filtered or INV-dropped in runahead
@@ -290,10 +280,8 @@ type Stats struct {
 	TotalDispatched uint64 //rarlint:unit uops
 	TotalIssued     uint64 //rarlint:unit uops
 
-	//rarlint:nscaled blocked-cycle counter: advances by n, matching n per-cycle ticks
 	HeadBlockedCycles uint64 //rarlint:unit cycles
-	//rarlint:nscaled blocked-cycle counter: advances by n, matching n per-cycle ticks
-	FullStallCycles uint64 //rarlint:unit cycles
+	FullStallCycles   uint64 //rarlint:unit cycles
 
 	// CommitHash is an FNV-1a hash over the committed instruction
 	// sequence (PC and class, in commit order) for the whole run,

@@ -60,7 +60,7 @@ type InjectSample struct {
 	// Slot is the physical entry index within the structure.
 	Slot int
 	// Outcome is filled in by the simulation.
-	Outcome InjectOutcome //rarlint:quiescent injection outcome record: reported post-run; injection timing is covered via injNext
+	Outcome InjectOutcome
 }
 
 // InjectSamples arms the core with injection trials. Must be called

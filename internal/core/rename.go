@@ -11,17 +11,17 @@ import "rarsim/internal/isa"
 type regFile struct {
 	nInt, nFp int
 
-	rat [isa.NumRegs]int16 //rarlint:quiescent rename state: read only by stage-driven rename and the checkpointed restore
+	rat [isa.NumRegs]int16
 	//rarlint:survives per-register bit is dead once the register is freed; alloc clears it on reallocation
 	ready []bool
 	//rarlint:survives poison bit is dead once the register is freed; alloc clears it on reallocation
-	inv []bool //rarlint:quiescent poison bits: read only by stage-driven rename and cleared on reallocation
+	inv []bool
 
 	// freeInt[:nFreeInt] and freeFp[:nFreeFp] are the free lists: stacks
 	// sized to their files, whose depths live in ints so that renaming
 	// rewrites no slice header.
-	freeInt  []int16 //rarlint:quiescent free-list entries: dispatch is bounded by the depth, nFreeInt, which canAlloc reads
-	freeFp   []int16 //rarlint:quiescent free-list entries: dispatch is bounded by the depth, nFreeFp, which canAlloc reads
+	freeInt  []int16
+	freeFp   []int16
 	nFreeInt int
 	nFreeFp  int
 }

@@ -13,7 +13,7 @@ package core
 // the workloads, conflicts are rare, which matches the paper's
 // fully-associative 128-entry SST.
 type sst struct {
-	entries []uint64 //rarlint:quiescent runahead training state: consulted only by stage-driven dispatch
+	entries []uint64
 	mask    uint64
 }
 
@@ -43,8 +43,8 @@ func (s *sst) insert(pc uint64) {
 // that produced its sources — the dependence edges needed to extract
 // backward slices. It is a direct-mapped structure updated at rename.
 type producers struct {
-	tags    []uint64    //rarlint:quiescent runahead training state: consulted only by stage-driven dispatch
-	sources [][2]uint64 //rarlint:quiescent runahead training state: consulted only by stage-driven dispatch
+	tags    []uint64
+	sources [][2]uint64
 	mask    uint64
 }
 

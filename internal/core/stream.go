@@ -18,12 +18,10 @@ type streamBuf struct {
 	// blk is gen's batch face when it has one (see trace.BlockSource):
 	// refills then synthesise a whole block of instructions straight into
 	// buf with one call instead of one virtual dispatch per instruction.
-	blk trace.BlockSource
-	buf []isa.Inst //rarlint:quiescent fetch stream window: refilled by stage-driven fetch, idle across a skip
-	//rarlint:quiescent fetch stream window: refilled by stage-driven fetch, idle across a skip
+	blk  trace.BlockSource
+	buf  []isa.Inst
 	base uint64 // global index of buf[0]
-	//rarlint:quiescent fetch stream cursor: advances only when stage-driven fetch consumes
-	cur uint64 // global index of the next instruction to fetch
+	cur  uint64 // global index of the next instruction to fetch
 	// refill is the block size per batched refill. Generating ahead of the
 	// cursor is safe: the correct-path stream is a pure deterministic
 	// sequence, so *when* an instruction is synthesised can never change

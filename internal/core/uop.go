@@ -39,19 +39,15 @@ type uop struct {
 	seq  uint64 // global age
 
 	state uopState
-	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
 	runahead bool // dispatched during runahead mode
-	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
 	inv bool // poisoned: depends on the blocking load's unavailable value
 
 	// Register renaming.
 	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
-	src [2]int16 // physical sources (-1 = none/ready immediate)
-	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	dest int16 // physical destination (-1 = none)
-	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
+	src  [2]int16 // physical sources (-1 = none/ready immediate)
+	dest int16    // physical destination (-1 = none)
 	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
 	prevDest int16 // previous mapping of the architectural dest, for rollback
 	// notReady counts source registers still awaiting their producer.
@@ -59,21 +55,18 @@ type uop struct {
 	// publishes) so the issue stage tests one field instead of re-polling
 	// the register file for every queued uop every cycle.
 	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
-	notReady int8 //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
+	notReady int8
 
 	// Position bookkeeping.
-	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 	streamIdx uint64 // index into the correct-path stream (for rewind)
-	inLQ      bool   //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	inSQ      bool   //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
+	inLQ      bool
+	inSQ      bool
 
 	// Timing.
 	frontReadyAt uint64 //rarlint:unit cycles -- the cycle the uop clears the front-end pipe
-	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
 	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
 	dispatchedAt uint64 //rarlint:unit cycles
-	//rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	issuedAt uint64 //rarlint:unit cycles
+	issuedAt     uint64 //rarlint:unit cycles
 	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
 	doneAt  uint64 //rarlint:unit cycles
 	retryAt uint64 //rarlint:unit cycles -- earliest re-issue attempt after an MSHR stall
@@ -87,19 +80,19 @@ type uop struct {
 	// (-1 = none): only mispredicted branches carry a history snapshot,
 	// and keeping the 72-byte Snapshot out of line keeps it out of every
 	// stage walk.
-	predTaken bool  //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	bpSnap    int32 //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
+	predTaken bool
+	bpSnap    int32
 
 	// ACE attribution snapshots (cumulative blocked-cycle counters at
 	// window-start events; see ace.Ledger).
-	hbAtDispatch, fsAtDispatch uint64 //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	hbAtIssue, fsAtIssue       uint64 //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
-	hbAtDone, fsAtDone         uint64 //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
+	hbAtDispatch, fsAtDispatch uint64
+	hbAtIssue, fsAtIssue       uint64
+	hbAtDone, fsAtDone         uint64
 
 	// bpInfo sits last deliberately: only branch uops (a minority) ever
 	// touch it, so every field the non-branch stage walks read comes
 	// before it. The whole uop is 208 bytes (TestUopSize).
-	bpInfo branch.Info //rarlint:quiescent uop-local record: only stage work on the uop consults it, and stages are idle across a skip window
+	bpInfo branch.Info
 }
 
 func (u *uop) isLoad() bool   { return u.inst.IsLoad() }
@@ -123,8 +116,8 @@ type uopArena struct {
 	// free is a stack of the free slots; nFree is its depth. The length
 	// lives in an int rather than in the slice header, so taking and
 	// returning slots writes no pointer.
-	free  []uopRef //rarlint:quiescent uop allocator free list: allocation scratch with no timing content
-	nFree int      //rarlint:quiescent uop allocator free list: allocation scratch with no timing content
+	free  []uopRef
+	nFree int
 }
 
 func newUopArena(size int) uopArena {

@@ -15,12 +15,6 @@ package lint
 //	//rarlint:locked <mu>               a method whose contract is "called
 //	                                    with the receiver's mu held"
 //	//rarlint:hot                       an allocation-free hot-loop root
-//	//rarlint:quiescent <reason>        a stage-written field whose changes
-//	                                    need not bound the fast-forward skip
-//	                                    (derived from covered state)
-//	//rarlint:nscaled <reason>          a field the bulk-advance path
-//	                                    n-scales; declares membership in the
-//	                                    skipset write set
 //
 // allow governs lines: it suppresses a finding on its own line, or, when
 // it stands alone on its line, on the line below. Every other verb
@@ -32,16 +26,16 @@ package lint
 // object — none counts lines.
 //
 // A directive must be well-formed — allow names exactly one existing
-// check and carries a reason, survives, quiescent and nscaled carry a
-// reason, unit's expression must parse, guardedby and locked carry a
-// lock argument — and must stay *live*: an allow that no longer
-// suppresses anything, and a declaration directive its check never
-// consumed (it governs no declaration, the wrong kind of declaration, or
-// one the check does not audit), are themselves reported, so a waiver
-// can never silently rot into a blanket exemption. Malformed directives
-// and stale allows surface as findings of the "lint" pseudo-check, an
-// unconsumed declaration directive as a finding of its owning check;
-// none of them can be suppressed.
+// check and carries a reason, survives carries a reason, unit's
+// expression must parse, guardedby and locked carry a lock argument —
+// and must stay *live*: an allow that no longer suppresses anything, and
+// a declaration directive its check never consumed (it governs no
+// declaration, the wrong kind of declaration, or one the check does not
+// audit), are themselves reported, so a waiver can never silently rot
+// into a blanket exemption. Malformed directives and stale allows
+// surface as findings of the "lint" pseudo-check, an unconsumed
+// declaration directive as a finding of its owning check; none of them
+// can be suppressed.
 
 import (
 	"bytes"
@@ -58,9 +52,7 @@ const (
 	verbGuardedBy = "guardedby"
 	verbHot       = "hot"
 	verbLocked    = "locked"
-	verbNscaled   = "nscaled"
 	verbPure      = "pure"
-	verbQuiescent = "quiescent"
 	verbSurvives  = "survives"
 	verbUnit      = "unit"
 )
@@ -88,9 +80,7 @@ var verbs = map[string]verbSpec{
 	verbGuardedBy: {check: "lockcheck", target: onField, arg: "lock argument (a sibling mutex field, atomic, or init)"},
 	verbHot:       {check: "hotalloc", target: onFunc | onMethod},
 	verbLocked:    {check: "lockcheck", target: onMethod, arg: "mutex field name"},
-	verbNscaled:   {check: "skipset", target: onField, reason: true},
 	verbPure:      {check: "purity", target: onFunc | onMethod},
-	verbQuiescent: {check: "ffsound", target: onField, reason: true},
 	verbSurvives:  {check: "flushreset", target: onField, reason: true},
 	verbUnit:      {check: "units", target: onField | onFunc | onMethod, arg: "unit expression", unit: true},
 }

@@ -262,43 +262,38 @@ func allSame(fields []*types.Var, fv *types.Var) bool {
 }
 
 // ---------------------------------------------------------------------
-// Generalized interprocedural field-flow engine.
+// Interprocedural write-closure engine.
 //
 // Where fieldFlow above classifies accesses file by file for the
-// struct-hygiene checks, the flowEngine computes *transitive closures*:
-// starting from a set of seed functions it walks the static call graph
-// (plain calls plus functions and methods referenced as values) and
-// accumulates, with leaf-field attribution, every struct field the
-// closure can write and every struct field whose value it can read.
-// Whole-struct writes (`*u = uop{}`, `c.chk = checkpoint{...}`) expand
-// to every field of the struct, recursively through nested structs and
-// pointers; reads through embedded promotions credit each field along
-// the selection path. flushreset, ffsound and skipset all build on it:
-// flushreset diffs two write closures, ffsound diffs a write closure
-// against a read closure, skipset diffs two write closures against a
-// declared field set.
+// struct-hygiene checks, the flowEngine computes *transitive write
+// closures*: starting from a set of seed functions it walks the static
+// call graph (plain calls plus functions and methods referenced as
+// values) and accumulates, with leaf-field attribution, every struct
+// field the closure can write. Whole-struct writes (`*u = uop{}`,
+// `c.chk = checkpoint{...}`) expand to every field of the struct,
+// recursively through nested structs and pointers. flushreset diffs two
+// such closures: the runahead writers' against the exit/flush restores'.
 
-// flowSite records where a closure first observed an access to a field.
+// flowSite records where a closure first observed a write to a field.
 type flowSite struct {
-	// fn is the rendered name of the function the access occurred in.
+	// fn is the rendered name of the function the write occurred in.
 	fn string
 }
 
-// flowSet is a transitive field-access closure: each accessed field
+// flowSet is a transitive field-write closure: each written field
 // mapped to the first site the closure walk observed.
 type flowSet map[*types.Var]flowSite
 
 // flowFacts caches one function's local field-flow: leaf-attributed
-// writes, reads, and the module functions its body can transfer control
-// to (including method values — see funcIndex.referencedFuncs).
+// writes and the module functions its body can transfer control to
+// (including method values — see funcIndex.referencedFuncs).
 type flowFacts struct {
-	writes  []fieldUse
-	reads   []fieldUse
+	writes  []*types.Var
 	callees []*funcInfo
 }
 
-// flowEngine computes transitive per-function field write and read sets
-// over a module's static call graph.
+// flowEngine computes transitive per-function field write sets over a
+// module's static call graph.
 type flowEngine struct {
 	fi    *funcIndex
 	facts map[*funcInfo]*flowFacts
@@ -308,12 +303,11 @@ func newFlowEngine(fi *funcIndex) *flowEngine {
 	return &flowEngine{fi: fi, facts: map[*funcInfo]*flowFacts{}}
 }
 
-// closure walks the call graph from seeds in BFS order and returns the
-// union of every reachable function's write and read sets, each field
-// attributed to the first function observed accessing it, plus the
-// visited functions themselves (seeds first, then discovery order).
-func (fe *flowEngine) closure(seeds []*funcInfo) (writes, reads flowSet, funcs []*funcInfo) {
-	writes, reads = flowSet{}, flowSet{}
+// writeClosure walks the call graph from seeds in BFS order and returns
+// the union of every reachable function's write set, each field
+// attributed to the first function observed writing it.
+func (fe *flowEngine) writeClosure(seeds []*funcInfo) flowSet {
+	writes := flowSet{}
 	visited := map[*funcInfo]bool{}
 	queue := append([]*funcInfo(nil), seeds...)
 	for _, s := range seeds {
@@ -322,21 +316,15 @@ func (fe *flowEngine) closure(seeds []*funcInfo) (writes, reads flowSet, funcs [
 	for len(queue) > 0 {
 		info := queue[0]
 		queue = queue[1:]
-		funcs = append(funcs, info)
 		ft := fe.facts[info]
 		if ft == nil {
 			ft = computeFlowFacts(fe.fi, info)
 			fe.facts[info] = ft
 		}
 		name := funcName(nil, info.fn)
-		for _, u := range ft.writes {
-			if _, ok := writes[u.field]; !ok {
-				writes[u.field] = flowSite{fn: name}
-			}
-		}
-		for _, u := range ft.reads {
-			if _, ok := reads[u.field]; !ok {
-				reads[u.field] = flowSite{fn: name}
+		for _, fv := range ft.writes {
+			if _, ok := writes[fv]; !ok {
+				writes[fv] = flowSite{fn: name}
 			}
 		}
 		for _, callee := range ft.callees {
@@ -346,37 +334,15 @@ func (fe *flowEngine) closure(seeds []*funcInfo) (writes, reads flowSet, funcs [
 			}
 		}
 	}
-	return writes, reads, funcs
+	return writes
 }
 
-// writeClosure is closure returning only the write set.
-func (fe *flowEngine) writeClosure(seeds []*funcInfo) flowSet {
-	w, _, _ := fe.closure(seeds)
-	return w
-}
-
-// computeFlowFacts scans one function body and classifies every struct
-// field access: assignment and inc/dec targets resolve to their leaf
-// field (with whole-struct expansion), everything else that selects a
-// field is a read, crediting each field along the selection path so
-// embedded promotions count their intermediates.
+// computeFlowFacts scans one function body for struct field writes:
+// assignment and inc/dec targets resolve to their leaf field, with
+// whole-struct expansion.
 func computeFlowFacts(fi *funcIndex, info *funcInfo) *flowFacts {
 	p, fd := info.pkg, info.decl
 	ft := &flowFacts{}
-	// writeLeaves marks the selector node carrying a write target's leaf
-	// field, so the read pass does not also classify it as a read.
-	writeLeaves := map[ast.Node]bool{}
-
-	recordWrite := func(lhs ast.Expr) {
-		fields, leaf := flowWriteTarget(p, lhs)
-		for _, fv := range fields {
-			ft.writes = append(ft.writes, fieldUse{field: fv, kind: accWrite})
-		}
-		if leaf != nil {
-			writeLeaves[leaf] = true
-		}
-	}
-
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
@@ -384,48 +350,22 @@ func computeFlowFacts(fi *funcIndex, info *funcInfo) *flowFacts {
 				return true // new locals; selector targets cannot appear
 			}
 			for _, lhs := range n.Lhs {
-				recordWrite(lhs)
-				if n.Tok != token.ASSIGN {
-					// Op-assigns (+=, -=, ...) read the old value too.
-					if fv, _ := flowLeafField(p, lhs); fv != nil {
-						ft.reads = append(ft.reads, fieldUse{field: fv, kind: accRead})
-					}
-				}
+				ft.writes = append(ft.writes, flowWriteTarget(p, lhs)...)
 			}
 		case *ast.IncDecStmt:
-			recordWrite(n.X)
-			if fv, _ := flowLeafField(p, n.X); fv != nil {
-				ft.reads = append(ft.reads, fieldUse{field: fv, kind: accRead})
-			}
+			ft.writes = append(ft.writes, flowWriteTarget(p, n.X)...)
 		}
 		return true
 	})
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok || writeLeaves[sel] {
-			return true
-		}
-		s := p.Info.Selections[sel]
-		if s == nil || s.Kind() != types.FieldVal {
-			return true
-		}
-		for _, fv := range selectionFields(s) {
-			ft.reads = append(ft.reads, fieldUse{field: fv, kind: accRead})
-		}
-		return true
-	})
-
 	ft.callees = fi.referencedFuncs(info)
 	return ft
 }
 
 // flowWriteTarget resolves one assignment target to the struct fields it
-// writes — the leaf field of the selector chain, expanded to every field
-// of the struct when the write replaces a whole struct value — plus the
-// selector node carrying the leaf (nil when the target is no field at
-// all: a plain local or global variable).
-func flowWriteTarget(p *Package, lhs ast.Expr) ([]*types.Var, *ast.SelectorExpr) {
+// writes: the leaf field of the selector chain, expanded to every field
+// of the struct when the write replaces a whole struct value (none when
+// the target is no field at all: a plain local or global variable).
+func flowWriteTarget(p *Package, lhs ast.Expr) []*types.Var {
 	for {
 		switch e := ast.Unparen(lhs).(type) {
 		case *ast.IndexExpr:
@@ -434,46 +374,22 @@ func flowWriteTarget(p *Package, lhs ast.Expr) ([]*types.Var, *ast.SelectorExpr)
 			// *ptr = v replaces the whole pointee.
 			if tv, ok := p.Info.Types[e.X]; ok {
 				if ptr, ok := tv.Type.Underlying().(*types.Pointer); ok {
-					return structFields(ptr.Elem(), nil), nil
+					return structFields(ptr.Elem(), nil)
 				}
 			}
-			return nil, nil
+			return nil
 		case *ast.SelectorExpr:
 			s := p.Info.Selections[e]
 			if s == nil || s.Kind() != types.FieldVal {
-				return nil, nil
+				return nil
 			}
 			fv, ok := s.Obj().(*types.Var)
 			if !ok {
-				return nil, nil
+				return nil
 			}
-			return structFields(fv.Type(), []*types.Var{fv}), e
+			return structFields(fv.Type(), []*types.Var{fv})
 		default:
-			return nil, nil
-		}
-	}
-}
-
-// flowLeafField resolves lhs to the leaf field it accesses, without
-// whole-struct expansion, or nil.
-func flowLeafField(p *Package, lhs ast.Expr) (*types.Var, *ast.SelectorExpr) {
-	for {
-		switch e := ast.Unparen(lhs).(type) {
-		case *ast.IndexExpr:
-			lhs = e.X
-		case *ast.StarExpr:
-			lhs = e.X
-		case *ast.SelectorExpr:
-			s := p.Info.Selections[e]
-			if s == nil || s.Kind() != types.FieldVal {
-				return nil, nil
-			}
-			if fv, ok := s.Obj().(*types.Var); ok {
-				return fv, e
-			}
-			return nil, nil
-		default:
-			return nil, nil
+			return nil
 		}
 	}
 }
@@ -508,10 +424,10 @@ func seedFuncs(m *Module, fi *funcIndex, names map[string]bool) ([]*funcInfo, ma
 
 // auditedFields returns every field of every named struct declared in
 // one of the given packages, plus each field's "pkg.Type" owner for
-// diagnostics. Statistics structs (Module.isStatsStruct) are left out
-// unless stats is set. The order is deterministic (scope names are
-// sorted); Run sorts the findings anyway.
-func auditedFields(m *Module, pkgs map[*Package]bool, stats bool) ([]*types.Var, map[*types.Var]string) {
+// diagnostics. Statistics structs (Module.isStatsStruct) are left out.
+// The order is deterministic (scope names are sorted); Run sorts the
+// findings anyway.
+func auditedFields(m *Module, pkgs map[*Package]bool) ([]*types.Var, map[*types.Var]string) {
 	owner := map[*types.Var]string{}
 	var fields []*types.Var
 	for _, p := range m.Pkgs {
@@ -521,7 +437,7 @@ func auditedFields(m *Module, pkgs map[*Package]bool, stats bool) ([]*types.Var,
 		scope := p.Types.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() || m.isTestPos(tn.Pos()) || (!stats && m.isStatsStruct(tn)) {
+			if !ok || tn.IsAlias() || m.isTestPos(tn.Pos()) || m.isStatsStruct(tn) {
 				continue
 			}
 			st, ok := tn.Type().Underlying().(*types.Struct)
@@ -536,13 +452,6 @@ func auditedFields(m *Module, pkgs map[*Package]bool, stats bool) ([]*types.Var,
 		}
 	}
 	return fields, owner
-}
-
-// selectionFields returns every struct field along a field selection's
-// path, outermost first: for `x.F` promoted through embedded E it yields
-// [E, F], so reads through embeddings credit their intermediates.
-func selectionFields(s *types.Selection) []*types.Var {
-	return pathFields(s.Recv(), s.Index())
 }
 
 // pathFields returns the struct fields that the field indices in path

@@ -72,7 +72,7 @@ func flushReset(m *Module) []Diagnostic {
 
 	// Audited fields: every field of every named struct declared in a
 	// package holding a seed function, statistics structs excepted.
-	fields, owner := auditedFields(m, seedPkgs, false)
+	fields, owner := auditedFields(m, seedPkgs)
 
 	fe := newFlowEngine(fi)
 	written := fe.writeClosure(writers)

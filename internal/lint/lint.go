@@ -9,10 +9,7 @@
 // completeness of the runahead exit/flush restore set (the paper's
 // un-ACE argument), dimensional consistency of the metric pipeline,
 // guarded-by lock discipline of the concurrent engine front-end,
-// allocation-freedom of the per-cycle hot loop, next-event coverage of
-// every stage-written field (the fast-forward quiescence contract), and
-// exact agreement between the bulk-advance write set and the declared
-// n-scalable fields.
+// and allocation-freedom of the per-cycle hot loop.
 //
 // The analyses are whole-module: rarlint loads and type-checks every
 // package of the module with go/parser and go/types (standard library
@@ -28,10 +25,6 @@
 //	//rarlint:guardedby <mu|atomic|init> declare a field's synchronization story
 //	//rarlint:locked <mu>                a method called only with mu held
 //	//rarlint:hot                        root the zero-alloc hot-loop closure
-//	//rarlint:quiescent <reason>         waive next-event coverage for one
-//	                                     stage-written field
-//	//rarlint:nscaled <reason>           declare a field part of the
-//	                                     bulk-advance write set
 //
 // An allow sits on the flagged line, or alone on the line above it; every
 // other directive sits in the doc or trailing comment of the struct field
@@ -124,16 +117,6 @@ func Analyzers() []*Analyzer {
 			Doc:  "allocation-freedom of every function reachable from //rarlint:hot roots (the zero-alloc per-cycle loop contract)",
 			Run:  hotalloc,
 		},
-		{
-			Name: "ffsound",
-			Doc:  "next-event coverage of every stage-written field (the fast-forward quiescence contract)",
-			Run:  ffSound,
-		},
-		{
-			Name: "skipset",
-			Doc:  "exact agreement between the bulk-advance write set, the per-cycle blocked path, and the declared //rarlint:nscaled fields",
-			Run:  skipSet,
-		},
 	}
 }
 
@@ -173,9 +156,9 @@ func Run(m *Module, checks []string) ([]Diagnostic, error) {
 	// is internally synchronized), and the only thing they write outside
 	// their own results is a directive's used mark — each verb is
 	// consumed by exactly one check (pure by purity, survives by
-	// flushreset, quiescent by ffsound, nscaled by skipset, unit by units,
-	// guardedby and locked by lockcheck, hot by hotalloc), and only
-	// hotalloc marks allows (its call-site barriers) before the barrier.
+	// flushreset, unit by units, guardedby and locked by lockcheck, hot by
+	// hotalloc), and only hotalloc marks allows (its call-site barriers)
+	// before the barrier.
 	// Suppression and the directive findings stay sequential, after the
 	// barrier. Findings are collected per-analyzer and ordering is
 	// restored by the final position sort, so the output is deterministic

@@ -77,9 +77,8 @@ func (m *Module) IsInternal(p *Package) bool {
 // isStatsStruct reports whether tn is a statistics struct: a struct type
 // named Stats or Metrics declared outside test files under
 // <module>/internal/. statshygiene audits its fields as report columns.
-// ffsound and flushreset exempt them: a statistic only records what the
-// stages did, so its changes never need to bound a fast-forward skip,
-// and metering runahead activity past exit is what it is for.
+// flushreset exempts them: metering runahead activity past exit is what
+// a statistic is for.
 func (m *Module) isStatsStruct(tn *types.TypeName) bool {
 	if (tn.Name() != "Stats" && tn.Name() != "Metrics") || tn.IsAlias() || m.isTestPos(tn.Pos()) {
 		return false

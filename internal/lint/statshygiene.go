@@ -6,9 +6,9 @@ package lint
 // <module>/internal/:
 //
 //   - Statistics structs (Module.isStatsStruct: the named types "Stats"
-//     and "Metrics", the same rule that exempts them from ffsound and
-//     flushreset) become report columns, so every field is audited both
-//     ways. Written but never read: the core spends cycles maintaining a
+//     and "Metrics", the same rule that exempts them from flushreset)
+//     become report columns, so every field is audited both ways.
+//     Written but never read: the core spends cycles maintaining a
 //     counter no table ever shows — dead weight at best, a stale copy of
 //     a real metric at worst. Read but never written: a reporter renders
 //     a field nothing ever sets, an always-zero column that looks like

@@ -1,9 +1,8 @@
-// Package flow is the generalized field-flow engine's corpus:
-// whole-struct writes, embedded promotions and method values, asserted
-// directly by fieldflow_test.go rather than through any analyzer (so an
-// ffsound or skipset regression localizes to the engine vs the check).
-// It deliberately trips no analyzer: no seed function names, no
-// directives, no expectations.
+// Package flow is the write-closure engine's corpus: whole-struct
+// writes and method values, asserted directly by fieldflow_test.go
+// rather than through any analyzer (so a flushreset regression
+// localizes to the engine vs the check). It deliberately trips no
+// analyzer: no seed function names, no directives, no expectations.
 package flow
 
 type inner struct {
@@ -11,12 +10,7 @@ type inner struct {
 	b uint64
 }
 
-type base struct {
-	tick uint64
-}
-
 type outer struct {
-	base
 	in    inner
 	ptr   *inner
 	count uint64
@@ -30,12 +24,6 @@ func (o *outer) wholeStruct() {
 	*o.ptr = inner{a: 1}
 }
 
-// promoted reads tick through the embedded base: the read credits both
-// the promotion path's intermediate (outer.base) and base.tick.
-func (o *outer) promoted() uint64 {
-	return o.tick
-}
-
 // methodValue escapes the static call graph: bump runs via a bound
 // method value, which the conservative closure must still follow.
 func (o *outer) methodValue() {
@@ -45,16 +33,9 @@ func (o *outer) methodValue() {
 
 func (o *outer) bump() { o.count++ }
 
-// reader reaches promoted only through a method value, so its read
-// closure covers the promotion fields iff the engine follows values.
-func reader(o *outer) uint64 {
-	g := o.promoted
-	return g()
-}
-
-// total reads what the functions above only write. base (read through
-// the promotion in promoted) and ptr (read by the dereference in
-// wholeStruct) need no such reader: statshygiene counts both as read.
+// total reads what the functions above only write. ptr (read by the
+// dereference in wholeStruct) needs no such reader: statshygiene counts
+// it as read.
 func (o *outer) total() uint64 {
 	return o.in.a + o.in.b + o.count
 }

@@ -25,11 +25,8 @@ func LineAddr(addr uint64) uint64 { return addr &^ (LineSize - 1) }
 // bits folded into its top two bits, so a hit is one compare and a cache
 // allocates no padding for two bools.
 type cacheLine struct {
-	//rarlint:quiescent memory-side state: advances only on stage-driven accesses; the stall-ending fill is covered by NextFillAt
-	tag uint64 // line address | lineValid | lineDirty; zero for a line never filled
-	//rarlint:quiescent memory-side state: advances only on stage-driven accesses; the stall-ending fill is covered by NextFillAt
+	tag     uint64 // line address | lineValid | lineDirty; zero for a line never filled
 	readyAt uint64 // cycle the fill completes; 0 for lines present "forever"
-	//rarlint:quiescent memory-side state: advances only on stage-driven accesses; the stall-ending fill is covered by NextFillAt
 	lastUse uint64 // LRU timestamp
 }
 
@@ -47,8 +44,8 @@ type Cache struct {
 	lines   []cacheLine // sets*ways, way-major within a set
 
 	// stats
-	accesses uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	misses   uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
+	accesses uint64
+	misses   uint64
 }
 
 // NewCache builds a cache of sizeBytes with the given associativity and

@@ -30,9 +30,9 @@ func DefaultDRAMConfig() DRAMConfig {
 }
 
 type dramBank struct {
-	openRow   uint64 //rarlint:quiescent memory-side state: advances only on stage-driven accesses; the stall-ending fill is covered by NextFillAt
-	busyUntil uint64 //rarlint:quiescent memory-side state: advances only on stage-driven accesses; the stall-ending fill is covered by NextFillAt
-	hasOpen   bool   //rarlint:quiescent memory-side state: advances only on stage-driven accesses; the stall-ending fill is covered by NextFillAt
+	openRow   uint64
+	busyUntil uint64
+	hasOpen   bool
 }
 
 // DRAM is an open-row DDR-style memory model: per-bank row buffers and
@@ -43,11 +43,11 @@ type dramBank struct {
 type DRAM struct {
 	cfg       DRAMConfig
 	banks     []dramBank
-	busFreeAt uint64 //rarlint:quiescent memory-side state: advances only on stage-driven accesses; the stall-ending fill is covered by NextFillAt
+	busFreeAt uint64
 
-	reads   uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	writes  uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	rowHits uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
+	reads   uint64
+	writes  uint64
+	rowHits uint64
 }
 
 // NewDRAM builds a DRAM model.

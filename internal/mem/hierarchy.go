@@ -96,11 +96,14 @@ type Hierarchy struct {
 	dram             *DRAM
 	pf               *StridePrefetcher
 
-	demandLoads     uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	demandLLCMisses uint64 //rarlint:quiescent stat counter: aggregated into the report after the run, never consulted by timing decisions
-	missCycles      uint64 //rarlint:quiescent MLP accounting: feeds end-of-run stats, never timing
-	busyCycles      uint64 //rarlint:quiescent MLP accounting: feeds end-of-run stats, never timing
-	coveredUntil    uint64 //rarlint:quiescent MLP accounting cursor: feeds end-of-run stats, never timing
+	// Statistics, reported after the run: demand loads and their LLC
+	// misses, and the MLP integrals (missCycles over busyCycles, with
+	// coveredUntil the end of the busy span counted so far).
+	demandLoads     uint64
+	demandLLCMisses uint64
+	missCycles      uint64
+	busyCycles      uint64
+	coveredUntil    uint64
 }
 
 // NewHierarchy builds a single-core hierarchy from cfg (private LLC).

@@ -17,7 +17,7 @@ type MSHRs struct {
 	live    int
 	minFill uint64
 
-	full uint64 //rarlint:quiescent back-pressure flag: recomputed on each stage-driven access
+	full uint64 // accesses refused for want of a free entry (FullStalls)
 }
 
 type mshrEntry struct {
