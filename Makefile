@@ -12,7 +12,7 @@ ci: vet lint build race
 vet:
 	$(GO) vet ./...
 
-# All nine checks (run concurrently after the shared type-check
+# All five checks (run concurrently after the shared type-check
 # load), with the repo's own _test.go files loaded too;
 # exits 1 on any finding, including malformed or stale directives.
 # vet rides along so `make lint` alone is the full static gate.

@@ -2,28 +2,25 @@
 // contracts: determinism of everything feeding the memoized simulation
 // cache, hygiene of the statistics that become report columns, coverage
 // of every config knob the sweeps claim to vary, error-return
-// discipline, purity of the stall fast-forward's event computation
-// (//rarlint:pure), completeness of the runahead exit/flush restore set
-// (//rarlint:survives), dimensional consistency of the metrics
-// (//rarlint:unit), guarded-by lock discipline (//rarlint:guardedby),
-// and allocation-freedom of the hot loop (//rarlint:hot). Pure standard
-// library — go/parser, go/ast, go/types — with no external dependencies.
+// discipline, and guarded-by lock discipline (//rarlint:guardedby,
+// //rarlint:locked). Pure standard library — go/parser, go/ast,
+// go/types — with no external dependencies.
 //
 // Usage:
 //
-//	rarlint ./...                      # whole module, all checks (CI mode)
-//	rarlint -checks purity,flushreset  # a subset of the checks
-//	rarlint -json ./...                # schema-stable JSON findings for CI
-//	rarlint -tests ./...               # load and analyze _test.go files too
-//	rarlint path/to/module             # another module root (e.g. a corpus)
+//	rarlint ./...                         # whole module, all checks (CI mode)
+//	rarlint -checks determinism,lockcheck # a subset of the checks
+//	rarlint -json ./...                   # schema-stable JSON findings for CI
+//	rarlint -tests ./...                  # load and analyze _test.go files too
+//	rarlint path/to/module                # another module root (e.g. a corpus)
 //
 // Exit status: 0 clean, 1 findings, 2 load error. Audited exceptions are
 // annotated in place, on the flagged line or alone on the line above it:
 //
 //	start := time.Now() //rarlint:allow determinism host-side timing
 //
-// Every other directive goes in the doc or trailing comment of the
-// struct field or function it governs.
+// guardedby and locked go in the doc or trailing comment of the struct
+// field or method they govern.
 //
 // See README.md ("Static analysis: rarlint") and DESIGN.md §6 and §8
 // ("Statically enforced invariants").

@@ -87,8 +87,6 @@ type Sizes struct {
 }
 
 // TotalBits returns N: the total number of vulnerable bits in the core.
-//
-//rarlint:unit bits
 func TotalBits(b Bits, s Sizes) uint64 {
 	return uint64(s.ROB*b.ROBEntry) +
 		uint64(s.IQ*b.IQEntry) +

@@ -10,12 +10,12 @@ package ace
 // width); windows snapshot Cum() at their start and the core passes the
 // overlap deltas to Add.
 type Ledger struct {
-	abc         [NumStructures]uint64 //rarlint:unit bitcycles
-	headBlocked [NumStructures]uint64 //rarlint:unit bitcycles
-	fullStall   [NumStructures]uint64 //rarlint:unit bitcycles
+	abc         [NumStructures]uint64
+	headBlocked [NumStructures]uint64
+	fullStall   [NumStructures]uint64
 
-	cumHeadBlocked uint64 //rarlint:unit cycles
-	cumFullStall   uint64 //rarlint:unit cycles
+	cumHeadBlocked uint64
+	cumFullStall   uint64
 
 	// Optional timeline bucketing (timeline.go).
 	windowCycles uint64
@@ -44,8 +44,6 @@ func (l *Ledger) Advance(headBlocked, fullStall bool, n uint64) {
 
 // Cum returns the current blocked-cycle counter values. The core snapshots
 // these at each window-start event (dispatch, issue, writeback).
-//
-//rarlint:pure
 func (l *Ledger) Cum() (headBlocked, fullStall uint64) {
 	return l.cumHeadBlocked, l.cumFullStall
 }
@@ -63,14 +61,9 @@ func (l *Ledger) Add(s Structure, bits, cycles, hbOverlap, fsOverlap uint64) {
 }
 
 // ABC returns the per-structure ACE bit counts.
-//
-//rarlint:pure
 func (l *Ledger) ABC() [NumStructures]uint64 { return l.abc }
 
 // TotalABC returns the run's total ACE bit count (Equation 1).
-//
-//rarlint:pure
-//rarlint:unit bitcycles
 func (l *Ledger) TotalABC() uint64 {
 	var t uint64
 	for _, v := range l.abc {
@@ -81,9 +74,6 @@ func (l *Ledger) TotalABC() uint64 {
 
 // HeadBlockedABC returns the ACE bit count exposed while an LLC-miss load
 // blocked the ROB head (the 'ROB head blocked' bar of Figure 5).
-//
-//rarlint:pure
-//rarlint:unit bitcycles
 func (l *Ledger) HeadBlockedABC() uint64 {
 	var t uint64
 	for _, v := range l.headBlocked {
@@ -94,9 +84,6 @@ func (l *Ledger) HeadBlockedABC() uint64 {
 
 // FullStallABC returns the ACE bit count exposed during full-ROB stalls
 // (the 'full-ROB stall' bar of Figure 5).
-//
-//rarlint:pure
-//rarlint:unit bitcycles
 func (l *Ledger) FullStallABC() uint64 {
 	var t uint64
 	for _, v := range l.fullStall {
@@ -107,9 +94,6 @@ func (l *Ledger) FullStallABC() uint64 {
 
 // AVF returns the architectural vulnerability factor of a run
 // (Equation 2): ABC / (N × T).
-//
-//rarlint:pure
-//rarlint:unit 1
 func AVF(abc, totalBits, cycles uint64) float64 {
 	if totalBits == 0 || cycles == 0 {
 		return 0
@@ -127,9 +111,6 @@ func AVF(abc, totalBits, cycles uint64) float64 {
 // The runtime ratio is what makes the paper's PRE result subtle: PRE
 // reduces ABC by ~28% but also runtime by a similar factor, leaving MTTF
 // flat, while RAR reduces ABC far more than runtime and wins 4.8×.
-//
-//rarlint:pure
-//rarlint:unit 1
 func MTTFRel(abcBase, cycBase, abcScheme, cycScheme uint64) float64 {
 	if abcScheme == 0 || cycBase == 0 {
 		return 0

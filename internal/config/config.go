@@ -16,7 +16,6 @@ type FUPool struct {
 	// Count is the number of units in the pool.
 	Count int
 	// Latency is the execution latency in cycles.
-	//rarlint:unit cycles
 	Latency uint64
 	// Pipelined units accept a new operation every cycle; unpipelined
 	// units are busy for the full latency.
@@ -57,7 +56,6 @@ type Core struct {
 	// blocked the head for this many cycles is assumed to be an LLC miss
 	// (§III-D: L1+L2+L3 tag lookups are 1+3+10 cycles, so >14 cycles at
 	// the head implies an LLC miss).
-	//rarlint:unit cycles
 	RunaheadTimer uint64
 
 	// PostCommitStoreBuffer is the number of committed stores that may be

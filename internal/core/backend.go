@@ -36,8 +36,6 @@ func (c *Core) dispatchStage() {
 // consults is freed only by a pipeline event (commit, completion, squash),
 // which is what lets the stall fast-forward (ff.go) treat a stalled
 // dispatch head as quiescent until the next event.
-//
-//rarlint:pure
 func (c *Core) dispatchStalled(u *uop) bool {
 	in := &u.inst
 	return c.robCount == c.cfg.ROB ||
@@ -104,8 +102,6 @@ func (c *Core) dispatchNormal(r uopRef) bool {
 // poolOf maps an instruction class to its functional-unit pool. Loads,
 // stores and branches use the integer-add pool (address generation /
 // resolution).
-//
-//rarlint:pure
 func poolOf(class isa.Class) int {
 	switch class {
 	case isa.IntMult:
@@ -131,7 +127,6 @@ func (c *Core) fuWidth(class isa.Class) uint64 {
 	return uint64(c.bits.IntFU)
 }
 
-//rarlint:pure
 func (c *Core) srcsReady(u *uop) bool {
 	for _, p := range u.src {
 		if p >= 0 && !c.regs.ready[p] {
@@ -163,8 +158,6 @@ type waiter struct {
 // without touching registrations already woken), so issueStage confirms
 // with srcsReady before issuing. The filter takes the srcsReady poll off
 // the queue's blocked majority; the confirm only runs for issue candidates.
-//
-//rarlint:hot
 func (c *Core) enqueueIQ(r uopRef) {
 	u := c.arena.at(r)
 	u.state = uopDispatched
@@ -189,8 +182,6 @@ func (c *Core) enqueueIQ(r uopRef) {
 // the incarnation that registered w, not yet issued or squashed. Every
 // other entry of a wakeup list, the ready list or the completion wheel is
 // stale.
-//
-//rarlint:pure
 func (c *Core) waiting(w waiter) bool {
 	u := c.arena.at(w.r)
 	return u.seq == w.seq && u.state == uopDispatched
@@ -201,8 +192,6 @@ func (c *Core) waiting(w waiter) bool {
 // register whose producers keep being squashed before they complete never
 // reaches a markReady that would empty its list. Only a list still full
 // after that doubles the stride of every list.
-//
-//rarlint:hot
 func (c *Core) makeWaiterRoom(p int16) {
 	base, n := int(p)*c.waitCap, 0
 	for _, w := range c.waitBuf[base : base+c.waitCap] {
@@ -213,7 +202,6 @@ func (c *Core) makeWaiterRoom(p int16) {
 	}
 	c.waitLen[p] = int32(n)
 	if n == c.waitCap {
-		//rarlint:allow hotalloc high-water stride growth only; steady state registers in place
 		c.waitBuf = growStrided(c.waitBuf, c.waitLen, c.waitCap)
 		c.waitCap *= 2
 	}
@@ -236,8 +224,6 @@ func growStrided(buf []waiter, lens []int32, stride int) []waiter {
 // inert (waiting rejects them); registrations from
 // before a recycling of p are live and correct to wake (see enqueueIQ).
 // A uop whose last unready source arrives becomes an issue candidate.
-//
-//rarlint:hot
 func (c *Core) markReady(p int16) {
 	c.regs.ready[p] = true
 	base := int(p) * c.waitCap
@@ -258,8 +244,6 @@ func (c *Core) markReady(p int16) {
 // at enqueue when all sources are already ready, or at its final wakeup.
 // Pushes are near-sorted already (wakeups follow dispatch order closely),
 // so the insertion scan is almost always a plain append.
-//
-//rarlint:hot
 func (c *Core) pushReady(r uopRef, seq uint64) {
 	i := c.readyLen
 	c.readyLen++
@@ -301,8 +285,6 @@ func (c *Core) iqEntry(i int) uopRef {
 // on functional units; loads and stores additionally access memory. Only
 // the ready list is scanned — the blocked majority of the issue queue
 // (notReady > 0) is never touched; it wakes event-driven via markReady.
-//
-//rarlint:hot
 func (c *Core) issueStage() {
 	for i := range c.fuIssued {
 		c.fuIssued[i] = 0
@@ -446,8 +428,6 @@ type cwEntry struct {
 // scheduleCompletion registers an issued uop's completion on the wheel.
 // doneAt is always at least c.cycle+1 when issue succeeds, so the bucket
 // the entry lands in is drained before the index can wrap.
-//
-//rarlint:hot
 func (c *Core) scheduleCompletion(r uopRef) {
 	u := c.arena.at(r)
 	d := u.doneAt
@@ -461,7 +441,6 @@ func (c *Core) scheduleCompletion(r uopRef) {
 		c.pushBucket(d&(cwSize-1), waiter{u.seq, r})
 	} else {
 		if c.cwOvLen == len(c.cwOverflow) {
-			//rarlint:allow hotalloc high-water capacity growth only; steady state spills in place
 			c.cwOverflow = append(c.cwOverflow, make([]cwEntry, len(c.cwOverflow))...)
 		}
 		c.cwOverflow[c.cwOvLen] = cwEntry{u.seq, d, r}
@@ -474,11 +453,8 @@ func (c *Core) scheduleCompletion(r uopRef) {
 }
 
 // pushBucket appends w to completion-wheel bucket i.
-//
-//rarlint:hot
 func (c *Core) pushBucket(i uint64, w waiter) {
 	if int(c.cwLen[i]) == c.cwCap {
-		//rarlint:allow hotalloc high-water stride growth only; steady state schedules in place
 		c.cwBuf = growStrided(c.cwBuf, c.cwLen[:], c.cwCap)
 		c.cwCap *= 2
 	}
@@ -512,7 +488,6 @@ func (c *Core) migrateOverflow() {
 	c.cwOvMin = min
 }
 
-//rarlint:hot
 func (c *Core) completeStage() {
 	// Fast paths: nothing in flight at all, then nothing due this cycle.
 	// The wheel holds every pending completion in the bucket of its due
@@ -673,7 +648,6 @@ func (c *Core) commitUop(r uopRef) {
 	u := c.arena.at(r)
 	in := &u.inst
 	if in.WrongPath {
-		//rarlint:allow hotalloc fatal model-bug exit, never taken on a healthy run
 		panic(fmt.Sprintf("core: committing wrong-path uop seq=%d pc=%#x cycle=%d mode=%d wrongPath=%v",
 			u.seq, in.PC, c.cycle, c.mode, c.wrongPath))
 	}

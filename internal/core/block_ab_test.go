@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -172,7 +173,7 @@ func TestBatchedSynthesisHostileRefillSizes(t *testing.T) {
 // TestRandomProgramsBatchedEquivalence fuzzes the square's batched edge:
 // arbitrary valid benchmarks under the runahead schemes must produce
 // byte-identical Stats batched and scalar. Mirrors
-// TestRandomProgramsFFEquivalence.
+// TestRandomProgramsFFEquivalence, fixed seed included.
 func TestRandomProgramsBatchedEquivalence(t *testing.T) {
 	schemes := append(config.Schemes(), config.RunaheadVariants()...)
 	f := func(raw []byte, pick uint8) bool {
@@ -201,7 +202,7 @@ func TestRandomProgramsBatchedEquivalence(t *testing.T) {
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 40}
+	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(42))}
 	if testing.Short() {
 		cfg.MaxCount = 8
 	}

@@ -53,12 +53,12 @@ type Core struct {
 	regs   *regFile
 	arena  uopArena
 
-	cycle uint64 //rarlint:unit cycles
+	cycle uint64
 	seq   uint64 // sequence number of the newest uop
 
 	// Front-end.
 	frontQ          frontRing
-	fetchStallUntil uint64 //rarlint:unit cycles
+	fetchStallUntil uint64
 	wrongPath       bool
 	wpPC            uint64
 	// wpScratch receives one fetch group's batch of synthesised
@@ -93,11 +93,9 @@ type Core struct {
 	// only waiting uops, and every entry pushed before its next walk names
 	// a distinct uop that was in the issue queue since the last one
 	// (markReady, too, pushes only waiting uops).
-	//rarlint:survives seq-guarded: entries registered in runahead are inert after the squash recycles their uops
 	readyList []waiter
-	//rarlint:survives seq-guarded: entries registered in runahead are inert after the squash recycles their uops
-	readyLen int
-	lqCount  int
+	readyLen  int
+	lqCount   int
 	// sqList[:sqLen] holds the in-flight stores in age order, for
 	// forwarding.
 	sqList []uopRef
@@ -124,7 +122,7 @@ type Core struct {
 	// cwOvMin is the earliest doneAt in cwOverflow (noEvent when
 	// empty); it may go stale-low via squashed entries, which costs a
 	// redundant migration scan, never a missed completion.
-	cwOvMin uint64 //rarlint:unit cycles
+	cwOvMin uint64
 	// cwCount is the number of wheel entries, live or stale; zero means
 	// completeStage has nothing to do at all.
 	cwCount int
@@ -140,11 +138,8 @@ type Core struct {
 	// whole backing L2-resident. A full list first drops its stale
 	// registrations (makeWaiterRoom), and the stride doubles (growStrided) only
 	// when a register holds more live ones.
-	//rarlint:survives seq-guarded: entries registered in runahead are inert after the squash recycles their uops
 	waitBuf []waiter
-	//rarlint:survives seq-guarded: entries registered in runahead are inert after the squash recycles their uops
 	waitLen []int32
-	//rarlint:survives allocation layout with no architectural content
 	waitCap int
 
 	// bpSnapArena backs the history snapshots of in-flight mispredicted
@@ -164,7 +159,7 @@ type Core struct {
 
 	fuPools    [numFuPools]config.FUPool
 	fuIssued   [numFuPools]int    // pipelined pools: ops issued this cycle
-	fuBusyTill [numFuPools]uint64 //rarlint:unit cycles -- unpipelined pools: next free cycle
+	fuBusyTill [numFuPools]uint64 // unpipelined pools: next free cycle
 
 	// storeBuf[:storeLen] holds the post-commit store addresses awaiting
 	// their L1D write, oldest first.
@@ -173,14 +168,15 @@ type Core struct {
 
 	// ROB-head blocking tracking.
 	headSeq   uint64
-	headSince uint64 //rarlint:unit cycles
+	headSince uint64
 
 	// Runahead machinery.
 	mode     mode
 	blocking uopRef // the load that triggered runahead; noUop in normal mode
 	// prdq[:prdqLen] is the precise register deallocation queue: the
-	// runahead uops in dispatch order.
-	prdq       []uopRef //rarlint:survives entries past prdqLen are dead, and discardRunahead empties the queue by zeroing prdqLen
+	// runahead uops in dispatch order. Entries past prdqLen are dead, so
+	// discardRunahead empties the queue by zeroing prdqLen.
+	prdq       []uopRef
 	prdqLen    int
 	sstT       *sst
 	prod       *producers
@@ -226,7 +222,7 @@ type Core struct {
 	// until then it is deferred. Zero, as in a new core, means at once,
 	// with no probe after that first step of a run: quiescence is not
 	// known yet.
-	due uint64 //rarlint:unit cycles
+	due uint64
 
 	// Stall fast-forward (ff.go): noFF disables the quiescent-cycle skip
 	// (its zero value keeps the skip on); ffSkipped counts cycles advanced
@@ -243,13 +239,12 @@ type Core struct {
 // from it) rather than clearing it; the stale copy left behind is
 // architecturally dead until the next enterRunahead overwrites it.
 type checkpoint struct {
-	rat    [isa.NumRegs]int16 //rarlint:survives consumed at exit, overwritten by the next entry
-	bpSnap branch.Snapshot    //rarlint:survives consumed at exit, overwritten by the next entry
-	//rarlint:survives consumed at exit, overwritten by the next entry
+	rat          [isa.NumRegs]int16
+	bpSnap       branch.Snapshot
 	resumeCursor uint64 // fetch cursor to restore on a PRE-style exit
-	wrongPath    bool   //rarlint:survives consumed at exit, overwritten by the next entry
-	wpPC         uint64 //rarlint:survives consumed at exit, overwritten by the next entry
-	wpSynthetic  int    //rarlint:survives consumed at exit, overwritten by the next entry
+	wrongPath    bool
+	wpPC         uint64
+	wpSynthetic  int
 }
 
 // Stats is the result of one simulation run.
@@ -258,30 +253,30 @@ type Stats struct {
 	Scheme    string
 	CoreName  string
 
-	Cycles    uint64 //rarlint:unit cycles
-	Committed uint64 //rarlint:unit insts
+	Cycles    uint64
+	Committed uint64
 
-	CommittedLoads    uint64 //rarlint:unit insts
-	CommittedStores   uint64 //rarlint:unit insts
-	CommittedBranches uint64 //rarlint:unit insts
-	Mispredicts       uint64 //rarlint:unit insts
+	CommittedLoads    uint64
+	CommittedStores   uint64
+	CommittedBranches uint64
+	Mispredicts       uint64
 	WrongPathFetched  uint64
 
 	RunaheadEntries  uint64
-	RunaheadCycles   uint64 //rarlint:unit cycles
-	RunaheadExecuted uint64 //rarlint:unit uops -- executed in runahead mode
-	RunaheadDropped  uint64 //rarlint:unit uops -- filtered or INV-dropped in runahead
+	RunaheadCycles   uint64
+	RunaheadExecuted uint64 // executed in runahead mode
+	RunaheadDropped  uint64 // filtered or INV-dropped in runahead
 	Flushes          uint64 // FLUSH-scheme pipeline flushes
 
 	// Activity counters for energy accounting: everything that consumed
 	// pipeline bandwidth, including wrong-path, runahead and re-fetched
 	// work that never (or repeatedly) committed.
-	TotalFetched    uint64 //rarlint:unit uops
-	TotalDispatched uint64 //rarlint:unit uops
-	TotalIssued     uint64 //rarlint:unit uops
+	TotalFetched    uint64
+	TotalDispatched uint64
+	TotalIssued     uint64
 
-	HeadBlockedCycles uint64 //rarlint:unit cycles
-	FullStallCycles   uint64 //rarlint:unit cycles
+	HeadBlockedCycles uint64
+	FullStallCycles   uint64
 
 	// CommitHash is an FNV-1a hash over the committed instruction
 	// sequence (PC and class, in commit order) for the whole run,
@@ -291,19 +286,16 @@ type Stats struct {
 	// (benchmark, seed, instruction count).
 	CommitHash uint64
 
-	ABC            [ace.NumStructures]uint64 //rarlint:unit bitcycles
-	TotalABC       uint64                    //rarlint:unit bitcycles
-	HeadBlockedABC uint64                    //rarlint:unit bitcycles
-	FullStallABC   uint64                    //rarlint:unit bitcycles
-	TotalBits      uint64                    //rarlint:unit bits
+	ABC            [ace.NumStructures]uint64
+	TotalABC       uint64
+	HeadBlockedABC uint64
+	FullStallABC   uint64
+	TotalBits      uint64
 
 	Mem mem.Stats
 }
 
 // IPC returns committed instructions per cycle.
-//
-//rarlint:pure
-//rarlint:unit insts/cycles
 func (s Stats) IPC() float64 {
 	if s.Cycles == 0 {
 		return 0
@@ -312,9 +304,6 @@ func (s Stats) IPC() float64 {
 }
 
 // MPKI returns demand-load LLC misses per thousand committed instructions.
-//
-//rarlint:pure
-//rarlint:unit uops/insts
 func (s Stats) MPKI() float64 {
 	if s.Committed == 0 {
 		return 0
@@ -323,17 +312,11 @@ func (s Stats) MPKI() float64 {
 }
 
 // AVF returns the run's architectural vulnerability factor (Equation 2).
-//
-//rarlint:pure
-//rarlint:unit 1
 func (s Stats) AVF() float64 {
 	return ace.AVF(s.TotalABC, s.TotalBits, s.Cycles)
 }
 
 // MispredictRate returns mispredictions per committed branch.
-//
-//rarlint:pure
-//rarlint:unit 1
 func (s Stats) MispredictRate() float64 {
 	if s.CommittedBranches == 0 {
 		return 0
@@ -442,8 +425,6 @@ const watchdogWindow = 500_000
 // Run simulates until instructions have committed and returns the run's
 // statistics. It returns an error if the pipeline deadlocks (a model bug,
 // not an expected outcome).
-//
-//rarlint:hot
 func (c *Core) Run(instructions uint64) (Stats, error) {
 	return c.RunWarm(0, instructions)
 }
@@ -455,14 +436,11 @@ func (c *Core) Run(instructions uint64) (Stats, error) {
 // Targets are relative to instructions already committed, so repeated
 // calls measure consecutive windows of one run. A target past the uint64
 // instruction count is an error.
-//
-//rarlint:hot
 func (c *Core) RunWarm(warmup, measured uint64) (Stats, error) {
 	base := c.s.Committed
 	warmTarget := base + warmup
 	total := warmTarget + measured
 	if warmTarget < base || total < warmTarget {
-		//rarlint:allow hotalloc argument check before the first cycle, never inside the loop
 		return Stats{}, fmt.Errorf("core: warmup %d + measured %d instructions past the %d already committed overflows uint64",
 			warmup, measured, base)
 	}
@@ -503,8 +481,6 @@ func (c *Core) RunWarm(warmup, measured uint64) (Stats, error) {
 //
 // It returns an error naming every unfinished core when no core commits
 // for watchdogWindow ticked lockstep cycles.
-//
-//rarlint:hot
 func Lockstep(cores []*Core, target uint64) error {
 	var now uint64
 	live := 0
@@ -556,7 +532,6 @@ func Lockstep(cores []*Core, target uint64) error {
 		if committed {
 			lastCommit = ticked
 		} else if ticked-lastCommit > watchdogWindow {
-			//rarlint:allow hotalloc fatal deadlock exit, never taken on a healthy run
 			return deadlock(cores, target, now)
 		}
 	}
@@ -595,7 +570,7 @@ func (c *Core) step() {
 	c.fetchStage()
 	c.drainStores()
 	if c.auditEvery > 0 && c.cycle%c.auditEvery == 0 {
-		c.audit() //rarlint:allow hotalloc audits are opt-in debugging, off in production sweeps
+		c.audit() // opt-in debugging, off in production sweeps
 	}
 }
 
@@ -703,7 +678,6 @@ func (c *Core) accountBlocked(n uint64) {
 	}
 }
 
-//rarlint:pure
 func (c *Core) robHeadUop() *uop {
 	if c.robCount == 0 {
 		return nil

@@ -77,9 +77,6 @@ func (c *Core) FFSkippedCycles() uint64 { return c.ffSkipped }
 // short-circuits the moment the core is proven busy, so busy cycles pay a
 // few comparisons and only genuinely stalled cycles reach the IQ/exec
 // scans — whose cost is then amortised over the whole skipped window.
-//
-//rarlint:pure
-//rarlint:hot
 func (c *Core) nextEventCycle() uint64 {
 	busy := c.cycle + 1
 
@@ -215,9 +212,6 @@ func (c *Core) nextEventCycle() uint64 {
 // obligation: invariant audits fire every auditEvery cycles and
 // fault-injection samples strike at a precise cycle, so any skip must stop
 // short of the nearest one and let the normal loop land on it.
-//
-//rarlint:pure
-//rarlint:hot
 func (c *Core) clampObligations(target uint64) uint64 {
 	if c.auditEvery > 0 {
 		if next := (c.cycle/c.auditEvery + 1) * c.auditEvery; next < target {
@@ -239,9 +233,6 @@ func (c *Core) clampObligations(target uint64) uint64 {
 // strikes). A return of cycle+1 means the core is busy; noEvent means no
 // event is pending at all. Like nextEventCycle it is only meaningful at the
 // bottom of a simulated cycle, after every stage has run.
-//
-//rarlint:pure
-//rarlint:hot
 func (c *Core) dueCycle() uint64 {
 	target := c.nextEventCycle()
 	if target == noEvent {
@@ -256,11 +247,8 @@ func (c *Core) dueCycle() uint64 {
 // the core's due cycle. skipTo re-derives dueCycle and panics on a
 // violation rather than silently corrupting the run, so a driver bug that
 // computed a skip window from stale or foreign state cannot go unnoticed.
-//
-//rarlint:hot
 func (c *Core) skipTo(target uint64) {
 	if ev := c.dueCycle(); target >= ev {
-		//rarlint:allow hotalloc contract-violation panic, never taken on a healthy run
 		panic(fmt.Sprintf("core: skipTo(%d) would jump past the next event at %d (cycle %d)", target, ev, c.cycle))
 	}
 	c.bulkAdvance(target - c.cycle)
@@ -274,8 +262,6 @@ func (c *Core) skipTo(target uint64) {
 // accesses). Finished cores are no longer probed, so the jump is lowered
 // below their outstanding fills too: no memory-side return time can land
 // inside a jumped stretch.
-//
-//rarlint:hot
 func jumpClock(cores []*Core, now, target, due uint64) uint64 {
 	for _, c := range cores {
 		if c.s.Committed >= target {
@@ -291,8 +277,6 @@ func jumpClock(cores []*Core, now, target, due uint64) uint64 {
 // cycles would each have run tickBlocked with exactly the current (frozen)
 // blocking state, so the accounting integrates in one accountBlocked(n).
 // Callers guarantee quiescence over the whole window.
-//
-//rarlint:hot
 func (c *Core) bulkAdvance(n uint64) {
 	first := c.cycle + 1
 	c.accountBlocked(n)

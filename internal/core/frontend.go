@@ -37,16 +37,11 @@ func newFrontRing(capacity int) frontRing {
 	return frontRing{buf: make([]uopRef, size)}
 }
 
-//rarlint:pure
 func (r *frontRing) len() int { return r.n }
 
 // at returns the i-th oldest entry (0 = dispatch head).
-//
-//rarlint:pure
-//rarlint:hot
 func (r *frontRing) at(i int) uopRef { return r.buf[(r.head+i)&(len(r.buf)-1)] }
 
-//rarlint:hot
 func (r *frontRing) push(u uopRef) {
 	if r.n == len(r.buf) {
 		panic("core: front-end ring overflow")
@@ -56,8 +51,6 @@ func (r *frontRing) push(u uopRef) {
 }
 
 // popFront removes and returns the dispatch head.
-//
-//rarlint:hot
 func (r *frontRing) popFront() uopRef {
 	u := r.buf[r.head]
 	r.head = (r.head + 1) & (len(r.buf) - 1)
@@ -143,8 +136,6 @@ func (c *Core) fetchStage() {
 // frontQCap is the front-end pipe capacity at which fetch backs up. The
 // stall fast-forward relies on the same bound to decide that fetch cannot
 // act until dispatch drains the pipe.
-//
-//rarlint:pure
 func (c *Core) frontQCap() int {
 	return c.cfg.Width * (c.cfg.FrontEndDepth + 2)
 }
@@ -220,8 +211,6 @@ func (c *Core) startWrongPath(in *isa.Inst, predTaken bool) {
 // synthesiser's RNG is shared across wrong-path episodes, so
 // over-generating would perturb later episodes relative to the scalar
 // path.
-//
-//rarlint:hot
 func (c *Core) fetchWrongPathGroup() {
 	c.progress++
 	w := c.cfg.Width
@@ -246,11 +235,9 @@ func (c *Core) fetchWrongPathGroup() {
 			k = c.wpSynthetic
 		}
 		if c.genBlk != nil {
-			//rarlint:allow hotalloc synthesiser dispatch is an interface call; the generators are allocation-free
 			c.genBlk.WrongPathBlock(c.wpScratch[:k], c.wpPC)
 		} else {
 			for i := 0; i < k; i++ {
-				//rarlint:allow hotalloc generator dispatch is an interface call; the generators are allocation-free
 				c.gen.WrongPath(&c.wpScratch[i], c.wpPC+uint64(i)*isa.InstBytes)
 			}
 		}
@@ -293,8 +280,6 @@ func (c *Core) newUop() (uopRef, *uop) {
 // allocBpSnap reserves a snapshot-arena slot for a mispredicted branch.
 // The free list grows with the snapshot arena, so release always has
 // room to return a slot.
-//
-//rarlint:hot
 func (c *Core) allocBpSnap() int32 {
 	if c.bpSnapFreeN > 0 {
 		c.bpSnapFreeN--

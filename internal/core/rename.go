@@ -12,10 +12,10 @@ type regFile struct {
 	nInt, nFp int
 
 	rat [isa.NumRegs]int16
-	//rarlint:survives per-register bit is dead once the register is freed; alloc clears it on reallocation
+	// A register's ready and INV bits are dead once it is freed; alloc
+	// clears them when it reallocates the register.
 	ready []bool
-	//rarlint:survives poison bit is dead once the register is freed; alloc clears it on reallocation
-	inv []bool
+	inv   []bool
 
 	// freeInt[:nFreeInt] and freeFp[:nFreeFp] are the free lists: stacks
 	// sized to their files, whose depths live in ints so that renaming

@@ -100,8 +100,6 @@ func (c *Core) modeStage() {
 //     execute later in the cycle), so when they hold now the trigger fires
 //     next cycle; when they don't, they only change at other pipeline
 //     events.
-//
-//rarlint:pure
 func (c *Core) modeNextEvent(head *uop) uint64 {
 	if c.mode == modeRunahead {
 		if c.prdqLen > 0 {
@@ -198,8 +196,6 @@ func (c *Core) enterRunahead(b uopRef) {
 // none is free. Both are freed only by pipeline events (a PRDQ drain, a
 // completion, the runahead exit), so the stall fast-forward (ff.go) treats
 // such a head as quiescent, as dispatchStalled lets it in normal mode.
-//
-//rarlint:pure
 func (c *Core) runaheadDispatchStalled(u *uop) bool {
 	in := &u.inst
 	return c.prdqLen >= c.cfg.PRDQ ||

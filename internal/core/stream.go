@@ -59,8 +59,6 @@ func (s *streamBuf) peek() *isa.Inst { return s.at(s.cur) }
 
 // at returns the instruction at global index idx, generating as needed.
 // idx must be >= the release watermark.
-//
-//rarlint:hot
 func (s *streamBuf) at(idx uint64) *isa.Inst {
 	if idx < s.base {
 		panic("core: stream rewind past released instructions")
@@ -76,24 +74,19 @@ func (s *streamBuf) at(idx uint64) *isa.Inst {
 // capacity quickly reaches a steady-state high-water mark (release keeps
 // the live window bounded by in-flight instructions plus one refill block),
 // after which refills run allocation-free.
-//
-//rarlint:hot
 func (s *streamBuf) fill() {
 	if s.blk == nil {
-		//rarlint:allow hotalloc generator dispatch is an interface call; the generators are allocation-free
 		s.gen.Next(&s.scratch)
 		s.buf = append(s.buf, s.scratch)
 		return
 	}
 	n := len(s.buf)
 	if cap(s.buf)-n < s.refill {
-		//rarlint:allow hotalloc high-water capacity growth only; steady state appends in place
 		grown := make([]isa.Inst, n, 2*cap(s.buf)+s.refill)
 		copy(grown, s.buf)
 		s.buf = grown
 	}
 	s.buf = s.buf[:n+s.refill]
-	//rarlint:allow hotalloc block-source dispatch is an interface call; the generators are allocation-free
 	s.blk.NextBlock(s.buf[n : n+s.refill])
 }
 

@@ -38,23 +38,18 @@ type uop struct {
 	inst isa.Inst
 	seq  uint64 // global age
 
-	state uopState
-	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
+	state    uopState
 	runahead bool // dispatched during runahead mode
-	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
-	inv bool // poisoned: depends on the blocking load's unavailable value
+	inv      bool // poisoned: depends on the blocking load's unavailable value
 
 	// Register renaming.
-	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
-	src  [2]int16 // physical sources (-1 = none/ready immediate)
-	dest int16    // physical destination (-1 = none)
-	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
-	prevDest int16 // previous mapping of the architectural dest, for rollback
+	src      [2]int16 // physical sources (-1 = none/ready immediate)
+	dest     int16    // physical destination (-1 = none)
+	prevDest int16    // previous mapping of the architectural dest, for rollback
 	// notReady counts source registers still awaiting their producer.
 	// Maintained event-driven (Core.markReady decrements it when a producer
 	// publishes) so the issue stage tests one field instead of re-polling
 	// the register file for every queued uop every cycle.
-	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
 	notReady int8
 
 	// Position bookkeeping.
@@ -63,13 +58,11 @@ type uop struct {
 	inSQ      bool
 
 	// Timing.
-	frontReadyAt uint64 //rarlint:unit cycles -- the cycle the uop clears the front-end pipe
-	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
-	dispatchedAt uint64 //rarlint:unit cycles
-	issuedAt     uint64 //rarlint:unit cycles
-	//rarlint:survives uop-local record: exit squashes the runahead uop, and its slot's next incarnation writes the field before reading it (see reset)
-	doneAt  uint64 //rarlint:unit cycles
-	retryAt uint64 //rarlint:unit cycles -- earliest re-issue attempt after an MSHR stall
+	frontReadyAt uint64 // the cycle the uop clears the front-end pipe
+	dispatchedAt uint64
+	issuedAt     uint64
+	doneAt       uint64
+	retryAt      uint64 // earliest re-issue attempt after an MSHR stall
 
 	// Memory.
 	llcMiss   bool // the access missed the LLC
@@ -131,8 +124,6 @@ func newUopArena(size int) uopArena {
 }
 
 // at returns the uop in slot r.
-//
-//rarlint:pure
 func (a *uopArena) at(r uopRef) *uop { return &a.uops[r] }
 
 // get takes a free slot and resets its uop for a new incarnation.

@@ -16,12 +16,12 @@ import "rarsim/internal/core"
 // the *relative* scheme comparison is insensitive to their exact
 // magnitudes.
 type Model struct {
-	FetchPJ    float64 //rarlint:unit joules/uops -- fetch + decode one instruction
-	DispatchPJ float64 //rarlint:unit joules/uops -- rename + ROB/IQ allocation
-	IssuePJ    float64 //rarlint:unit joules/uops -- wakeup/select + register read + execute
+	FetchPJ    float64 // fetch + decode one instruction
+	DispatchPJ float64 // rename + ROB/IQ allocation
+	IssuePJ    float64 // wakeup/select + register read + execute
 	L1PJ       float64 // L1 access
 	LLCMissPJ  float64 // off-chip access (DRAM read or write)
-	StaticPJ   float64 //rarlint:unit joules/cycles -- leakage + clock per cycle
+	StaticPJ   float64 // leakage + clock per cycle
 }
 
 // DefaultModel returns the representative event energies.
@@ -38,23 +38,18 @@ func DefaultModel() Model {
 
 // Breakdown is the estimated energy of a run, in microjoules.
 type Breakdown struct {
-	FrontEnd float64 //rarlint:unit joules -- fetch + dispatch activity
-	Execute  float64 //rarlint:unit joules -- issue/execute activity
-	Memory   float64 //rarlint:unit joules -- cache and DRAM traffic
-	Static   float64 //rarlint:unit joules -- leakage over the run's cycles
+	FrontEnd float64 // fetch + dispatch activity
+	Execute  float64 // issue/execute activity
+	Memory   float64 // cache and DRAM traffic
+	Static   float64 // leakage over the run's cycles
 }
 
 // Total returns the run's total energy in microjoules.
-//
-//rarlint:pure
-//rarlint:unit joules
 func (b Breakdown) Total() float64 {
 	return b.FrontEnd + b.Execute + b.Memory + b.Static
 }
 
 // Estimate computes the energy breakdown of a run's statistics.
-//
-//rarlint:pure
 func (m Model) Estimate(st core.Stats) Breakdown {
 	const toMicro = 1e-6
 	var b Breakdown
@@ -69,9 +64,6 @@ func (m Model) Estimate(st core.Stats) Breakdown {
 
 // EPI returns the estimated energy per committed instruction in
 // picojoules.
-//
-//rarlint:pure
-//rarlint:unit joules/insts
 func (m Model) EPI(st core.Stats) float64 {
 	if st.Committed == 0 {
 		return 0
@@ -81,9 +73,6 @@ func (m Model) EPI(st core.Stats) float64 {
 
 // Overhead returns the scheme's total-energy ratio against a baseline run
 // of the same work (>1 = costs energy, <1 = saves energy).
-//
-//rarlint:pure
-//rarlint:unit 1
 func (m Model) Overhead(baseline, scheme core.Stats) float64 {
 	base := m.Estimate(baseline).Total()
 	if base == 0 {

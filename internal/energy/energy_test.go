@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"math"
 	"testing"
 
 	"rarsim/internal/config"
@@ -40,8 +41,26 @@ func TestBreakdownArithmetic(t *testing.T) {
 	if b.Total() != b.FrontEnd+b.Execute+b.Memory+b.Static {
 		t.Error("total must sum the parts")
 	}
-	if m.EPI(st) <= 0 {
-		t.Error("EPI must be positive")
+	// By hand, in µJ: front end (1500·12 + 1400·18) pJ = 0.0432, execute
+	// 1300·25 pJ = 0.0325, memory (300·10 + 15·2000) pJ = 0.033, static
+	// 2000·45 pJ = 0.09; total 0.1987 µJ over 1000 instructions. The
+	// baseline is the same run in half the cycles: static 0.045, total
+	// 0.1537.
+	baseline := st
+	baseline.Cycles = 1000
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"execute", b.Execute, 0.0325},
+		{"memory", b.Memory, 0.033},
+		{"static", b.Static, 0.09},
+		{"EPI", m.EPI(st), 198.7},
+		{"overhead", m.Overhead(baseline, st), 0.1987 / 0.1537},
+	} {
+		if math.Abs(c.got-c.want) > 1e-12*c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 	if m.EPI(core.Stats{}) != 0 {
 		t.Error("EPI of an empty run must be 0")

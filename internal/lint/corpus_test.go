@@ -169,12 +169,12 @@ func TestCorpusCoverage(t *testing.T) {
 }
 
 // TestConcurrencyChecksSkipTestFiles pins the -tests contract of
-// lockcheck and hotalloc: test files join the type-checked module but
-// contribute no findings, no annotations and no hot roots — the corpus
-// test files hold lock-free accesses and allocations on purpose, and
-// the finding set must be identical with and without them loaded.
+// lockcheck: test files join the type-checked module but contribute no
+// findings and no annotations — the corpus test files hold lock-free
+// accesses on purpose, and the finding set must be identical with and
+// without them loaded.
 func TestConcurrencyChecksSkipTestFiles(t *testing.T) {
-	for _, name := range []string{"lockcheck", "hotalloc"} {
+	for _, name := range []string{"lockcheck"} {
 		t.Run(name, func(t *testing.T) {
 			dir, err := filepath.Abs(filepath.Join("testdata", name))
 			if err != nil {

@@ -4,21 +4,15 @@ package lint
 // //rarlint:<verb> ...:
 //
 //	//rarlint:allow <check> <reason>    suppress one audited finding
-//	//rarlint:pure                      declare a function side-effect-free
-//	//rarlint:survives <reason>         a runahead-written field that
-//	                                    legitimately outlives runahead exit
-//	//rarlint:unit <unit-expr>          dimension of a field or of a
-//	                                    function's result
 //	//rarlint:guardedby <mu|atomic|init> a struct field readable only under
 //	                                    the named sibling mutex (or via
 //	                                    sync/atomic, or set before sharing)
 //	//rarlint:locked <mu>               a method whose contract is "called
 //	                                    with the receiver's mu held"
-//	//rarlint:hot                       an allocation-free hot-loop root
 //
 // allow governs lines: it suppresses a finding on its own line, or, when
-// it stands alone on its line, on the line below. Every other verb
-// governs a declaration and goes in that declaration's doc comment or
+// it stands alone on its line, on the line below. The other two verbs
+// govern a declaration and go in that declaration's doc comment or
 // trailing comment, the groups go/ast attaches to it (Field.Doc,
 // Field.Comment, FuncDecl.Doc); directives stack there in any order.
 // The loader resolves each one once, after type-checking, to the
@@ -26,16 +20,16 @@ package lint
 // object — none counts lines.
 //
 // A directive must be well-formed — allow names exactly one existing
-// check and carries a reason, survives carries a reason, unit's
-// expression must parse, guardedby and locked carry a lock argument —
-// and must stay *live*: an allow that no longer suppresses anything, and
-// a declaration directive its check never consumed (it governs no
-// declaration, the wrong kind of declaration, or one the check does not
-// audit), are themselves reported, so a waiver can never silently rot
-// into a blanket exemption. Malformed directives and stale allows
-// surface as findings of the "lint" pseudo-check, an unconsumed
-// declaration directive as a finding of its owning check; none of them
-// can be suppressed.
+// check and carries a reason, guardedby and locked carry a lock
+// argument — and must stay *live*: an allow that no longer suppresses
+// anything, and a declaration directive its check never consumed (it
+// governs no declaration, the wrong kind of declaration, or one the
+// check does not audit), are themselves reported, so a waiver can never
+// silently rot into a blanket exemption. Any other verb is unknown, so a
+// retired waiver carried over from an old branch is reported too.
+// Malformed directives and stale allows surface as findings of the
+// "lint" pseudo-check, an unconsumed declaration directive as a finding
+// of its owning check; none of them can be suppressed.
 
 import (
 	"bytes"
@@ -50,11 +44,7 @@ import (
 const (
 	verbAllow     = "allow"
 	verbGuardedBy = "guardedby"
-	verbHot       = "hot"
 	verbLocked    = "locked"
-	verbPure      = "pure"
-	verbSurvives  = "survives"
-	verbUnit      = "unit"
 )
 
 // Declaration kinds, the bits of a verb's target.
@@ -70,27 +60,20 @@ const (
 type verbSpec struct {
 	check  string // "" for allow, which serves every check
 	target int    // onField|onFunc|onMethod bits; 0 for allow
-	arg    string // what the required first argument names ("" for none)
-	reason bool   // words must follow the argument (or the verb)
-	unit   bool   // the argument must parse as a unit expression
+	arg    string // what the required first argument names
+	reason bool   // words must follow the argument
 }
 
 var verbs = map[string]verbSpec{
 	verbAllow:     {arg: "check name", reason: true},
 	verbGuardedBy: {check: "lockcheck", target: onField, arg: "lock argument (a sibling mutex field, atomic, or init)"},
-	verbHot:       {check: "hotalloc", target: onFunc | onMethod},
 	verbLocked:    {check: "lockcheck", target: onMethod, arg: "mutex field name"},
-	verbPure:      {check: "purity", target: onFunc | onMethod},
-	verbSurvives:  {check: "flushreset", target: onField, reason: true},
-	verbUnit:      {check: "units", target: onField | onFunc | onMethod, arg: "unit expression", unit: true},
 }
 
 // targetNames renders a verb's target in "not attached" findings.
 var targetNames = map[int]string{
-	onField:                     "a struct field",
-	onFunc | onMethod:           "a function declaration",
-	onMethod:                    "a method declaration",
-	onField | onFunc | onMethod: "a struct field or function declaration",
+	onField:  "a struct field",
+	onMethod: "a method declaration",
 }
 
 // directive is one parsed //rarlint: comment.
@@ -180,10 +163,6 @@ func (m *Module) resolveDirectives(p *Package, f *ast.File, src []byte) {
 // serve: a typo must not hide behind a filter.
 func (d *directive) validate() string {
 	v, ok := verbs[d.verb]
-	nargs := 0
-	if v.arg != "" {
-		nargs = 1
-	}
 	switch {
 	case !ok:
 		known := make([]string, 0, len(verbs))
@@ -192,16 +171,12 @@ func (d *directive) validate() string {
 		}
 		sort.Strings(known)
 		return "unknown rarlint directive //rarlint:" + d.verb + " (have " + strings.Join(known, ", ") + ")"
-	case len(d.args) < nargs:
+	case len(d.args) == 0:
 		return "malformed rarlint:" + d.verb + ": missing " + v.arg
 	case d.verb == verbAllow && !knownCheck(d.args[0]):
 		return "malformed rarlint:allow: unknown check " + d.args[0]
-	case v.reason && len(d.args) == nargs:
+	case v.reason && len(d.args) == 1:
 		return strings.Join(append([]string{"rarlint:" + d.verb}, d.args...), " ") + " needs a reason"
-	case v.unit:
-		if _, err := parseUnit(d.args[0]); err != nil {
-			return "malformed rarlint:unit: " + err.Error()
-		}
 	}
 	return ""
 }

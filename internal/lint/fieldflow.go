@@ -11,7 +11,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -259,199 +258,6 @@ func allSame(fields []*types.Var, fv *types.Var) bool {
 		}
 	}
 	return true
-}
-
-// ---------------------------------------------------------------------
-// Interprocedural write-closure engine.
-//
-// Where fieldFlow above classifies accesses file by file for the
-// struct-hygiene checks, the flowEngine computes *transitive write
-// closures*: starting from a set of seed functions it walks the static
-// call graph (plain calls plus functions and methods referenced as
-// values) and accumulates, with leaf-field attribution, every struct
-// field the closure can write. Whole-struct writes (`*u = uop{}`,
-// `c.chk = checkpoint{...}`) expand to every field of the struct,
-// recursively through nested structs and pointers. flushreset diffs two
-// such closures: the runahead writers' against the exit/flush restores'.
-
-// flowSite records where a closure first observed a write to a field.
-type flowSite struct {
-	// fn is the rendered name of the function the write occurred in.
-	fn string
-}
-
-// flowSet is a transitive field-write closure: each written field
-// mapped to the first site the closure walk observed.
-type flowSet map[*types.Var]flowSite
-
-// flowFacts caches one function's local field-flow: leaf-attributed
-// writes and the module functions its body can transfer control to
-// (including method values — see funcIndex.referencedFuncs).
-type flowFacts struct {
-	writes  []*types.Var
-	callees []*funcInfo
-}
-
-// flowEngine computes transitive per-function field write sets over a
-// module's static call graph.
-type flowEngine struct {
-	fi    *funcIndex
-	facts map[*funcInfo]*flowFacts
-}
-
-func newFlowEngine(fi *funcIndex) *flowEngine {
-	return &flowEngine{fi: fi, facts: map[*funcInfo]*flowFacts{}}
-}
-
-// writeClosure walks the call graph from seeds in BFS order and returns
-// the union of every reachable function's write set, each field
-// attributed to the first function observed writing it.
-func (fe *flowEngine) writeClosure(seeds []*funcInfo) flowSet {
-	writes := flowSet{}
-	visited := map[*funcInfo]bool{}
-	queue := append([]*funcInfo(nil), seeds...)
-	for _, s := range seeds {
-		visited[s] = true
-	}
-	for len(queue) > 0 {
-		info := queue[0]
-		queue = queue[1:]
-		ft := fe.facts[info]
-		if ft == nil {
-			ft = computeFlowFacts(fe.fi, info)
-			fe.facts[info] = ft
-		}
-		name := funcName(nil, info.fn)
-		for _, fv := range ft.writes {
-			if _, ok := writes[fv]; !ok {
-				writes[fv] = flowSite{fn: name}
-			}
-		}
-		for _, callee := range ft.callees {
-			if !visited[callee] {
-				visited[callee] = true
-				queue = append(queue, callee)
-			}
-		}
-	}
-	return writes
-}
-
-// computeFlowFacts scans one function body for struct field writes:
-// assignment and inc/dec targets resolve to their leaf field, with
-// whole-struct expansion.
-func computeFlowFacts(fi *funcIndex, info *funcInfo) *flowFacts {
-	p, fd := info.pkg, info.decl
-	ft := &flowFacts{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if n.Tok == token.DEFINE {
-				return true // new locals; selector targets cannot appear
-			}
-			for _, lhs := range n.Lhs {
-				ft.writes = append(ft.writes, flowWriteTarget(p, lhs)...)
-			}
-		case *ast.IncDecStmt:
-			ft.writes = append(ft.writes, flowWriteTarget(p, n.X)...)
-		}
-		return true
-	})
-	ft.callees = fi.referencedFuncs(info)
-	return ft
-}
-
-// flowWriteTarget resolves one assignment target to the struct fields it
-// writes: the leaf field of the selector chain, expanded to every field
-// of the struct when the write replaces a whole struct value (none when
-// the target is no field at all: a plain local or global variable).
-func flowWriteTarget(p *Package, lhs ast.Expr) []*types.Var {
-	for {
-		switch e := ast.Unparen(lhs).(type) {
-		case *ast.IndexExpr:
-			lhs = e.X // element write reaches the container field
-		case *ast.StarExpr:
-			// *ptr = v replaces the whole pointee.
-			if tv, ok := p.Info.Types[e.X]; ok {
-				if ptr, ok := tv.Type.Underlying().(*types.Pointer); ok {
-					return structFields(ptr.Elem(), nil)
-				}
-			}
-			return nil
-		case *ast.SelectorExpr:
-			s := p.Info.Selections[e]
-			if s == nil || s.Kind() != types.FieldVal {
-				return nil
-			}
-			fv, ok := s.Obj().(*types.Var)
-			if !ok {
-				return nil
-			}
-			return structFields(fv.Type(), []*types.Var{fv})
-		default:
-			return nil
-		}
-	}
-}
-
-// seedFuncs collects, in deterministic source order, every module
-// function whose name is in names, along with the set of packages the
-// seeds were found in. Names absent from the module are simply not
-// seeds.
-func seedFuncs(m *Module, fi *funcIndex, names map[string]bool) ([]*funcInfo, map[*Package]bool) {
-	var seeds []*funcInfo
-	pkgs := map[*Package]bool{}
-	for _, p := range m.Pkgs {
-		for _, f := range p.Files {
-			if m.isTestFile(f) {
-				continue
-			}
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || !names[fd.Name.Name] {
-					continue
-				}
-				fn, _ := p.Info.Defs[fd.Name].(*types.Func)
-				if info := fi.lookup(fn); info != nil {
-					seeds = append(seeds, info)
-					pkgs[p] = true
-				}
-			}
-		}
-	}
-	return seeds, pkgs
-}
-
-// auditedFields returns every field of every named struct declared in
-// one of the given packages, plus each field's "pkg.Type" owner for
-// diagnostics. Statistics structs (Module.isStatsStruct) are left out.
-// The order is deterministic (scope names are sorted); Run sorts the
-// findings anyway.
-func auditedFields(m *Module, pkgs map[*Package]bool) ([]*types.Var, map[*types.Var]string) {
-	owner := map[*types.Var]string{}
-	var fields []*types.Var
-	for _, p := range m.Pkgs {
-		if !pkgs[p] {
-			continue
-		}
-		scope := p.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() || m.isTestPos(tn.Pos()) || m.isStatsStruct(tn) {
-				continue
-			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				fv := st.Field(i)
-				fields = append(fields, fv)
-				owner[fv] = p.Types.Name() + "." + name
-			}
-		}
-	}
-	return fields, owner
 }
 
 // pathFields returns the struct fields that the field indices in path

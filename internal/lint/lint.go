@@ -2,14 +2,10 @@
 // enforces the simulator's correctness contracts: determinism of
 // everything feeding the memoized simulation cache, hygiene of the
 // statistics structs that become report columns and of the state no
-// shipped code reads, coverage of every
-// config knob the experiment sweeps claim to vary, error-return
-// discipline in the simulator packages, purity of the stall
-// fast-forward's event computation and the report read paths,
-// completeness of the runahead exit/flush restore set (the paper's
-// un-ACE argument), dimensional consistency of the metric pipeline,
-// guarded-by lock discipline of the concurrent engine front-end,
-// and allocation-freedom of the per-cycle hot loop.
+// shipped code reads, coverage of every config knob the experiment
+// sweeps claim to vary, error-return discipline in the simulator
+// packages, and guarded-by lock discipline of the concurrent engine
+// front-end.
 //
 // The analyses are whole-module: rarlint loads and type-checks every
 // package of the module with go/parser and go/types (standard library
@@ -19,16 +15,12 @@
 // //rarlint: directives —
 //
 //	//rarlint:allow <check> <reason>     suppress one audited finding
-//	//rarlint:pure                       declare a function side-effect-free
-//	//rarlint:survives <reason>          waive one runahead-residue field
-//	//rarlint:unit <unit-expr>           declare a field's or result's dimension
 //	//rarlint:guardedby <mu|atomic|init> declare a field's synchronization story
 //	//rarlint:locked <mu>                a method called only with mu held
-//	//rarlint:hot                        root the zero-alloc hot-loop closure
 //
-// An allow sits on the flagged line, or alone on the line above it; every
-// other directive sits in the doc or trailing comment of the struct field
-// or function it governs, and the loader resolves it once to that
+// An allow sits on the flagged line, or alone on the line above it; the
+// other two sit in the doc or trailing comment of the struct field or
+// method they govern, and the loader resolves each once to that
 // declaration's types.Object (see directive.go). Malformed and stale
 // directives are themselves findings. rarlint
 // complements the *runtime* invariant auditor in internal/core/audit.go:
@@ -93,29 +85,9 @@ func Analyzers() []*Analyzer {
 			Run:  errDiscipline,
 		},
 		{
-			Name: "purity",
-			Doc:  "side effects reachable from //rarlint:pure functions (the stall fast-forward's next-event contract)",
-			Run:  purity,
-		},
-		{
-			Name: "flushreset",
-			Doc:  "state written on runahead paths but not restored by exit/flush (the flush-at-exit un-ACE contract)",
-			Run:  flushReset,
-		},
-		{
-			Name: "units",
-			Doc:  "dimensional analysis over //rarlint:unit-annotated stats, energy and metrics expressions",
-			Run:  unitsCheck,
-		},
-		{
 			Name: "lockcheck",
 			Doc:  "guarded-by discipline of //rarlint:guardedby fields: mutex held at every access, no double lock, no return-while-held",
 			Run:  lockcheck,
-		},
-		{
-			Name: "hotalloc",
-			Doc:  "allocation-freedom of every function reachable from //rarlint:hot roots (the zero-alloc per-cycle loop contract)",
-			Run:  hotalloc,
 		},
 	}
 }
@@ -154,11 +126,9 @@ func Run(m *Module, checks []string) ([]Diagnostic, error) {
 	// The analyzers are independent and run concurrently: each consumes
 	// the shared read-only typed ASTs and directive index (token.FileSet
 	// is internally synchronized), and the only thing they write outside
-	// their own results is a directive's used mark — each verb is
-	// consumed by exactly one check (pure by purity, survives by
-	// flushreset, unit by units, guardedby and locked by lockcheck, hot by
-	// hotalloc), and only hotalloc marks allows (its call-site barriers)
-	// before the barrier.
+	// their own results is a directive's used mark — guardedby and locked
+	// are consumed by lockcheck alone, and allows are marked only by
+	// suppression, after the barrier.
 	// Suppression and the directive findings stay sequential, after the
 	// barrier. Findings are collected per-analyzer and ordering is
 	// restored by the final position sort, so the output is deterministic

@@ -77,8 +77,6 @@ func (m *Module) IsInternal(p *Package) bool {
 // isStatsStruct reports whether tn is a statistics struct: a struct type
 // named Stats or Metrics declared outside test files under
 // <module>/internal/. statshygiene audits its fields as report columns.
-// flushreset exempts them: metering runahead activity past exit is what
-// a statistic is for.
 func (m *Module) isStatsStruct(tn *types.TypeName) bool {
 	if (tn.Name() != "Stats" && tn.Name() != "Metrics") || tn.IsAlias() || m.isTestPos(tn.Pos()) {
 		return false

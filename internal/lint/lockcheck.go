@@ -686,3 +686,23 @@ func unlockCallKey(p *Package, call *ast.CallExpr) (string, bool) {
 	}
 	return op.key, true
 }
+
+// funcName renders a function's name for diagnostics: "Type.Method" for
+// methods, plain name otherwise, qualified with the package name when it
+// is not the one the diagnostic is reported from.
+func funcName(from *Package, fn *types.Func) string {
+	name := fn.Name()
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		t := sig.Recv().Type()
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		if named, ok := t.(*types.Named); ok {
+			name = named.Obj().Name() + "." + name
+		}
+	}
+	if fn.Pkg() != nil && fn.Pkg() != from.Types {
+		name = fn.Pkg().Name() + "." + name
+	}
+	return name
+}

@@ -6,13 +6,12 @@ package lint
 // <module>/internal/:
 //
 //   - Statistics structs (Module.isStatsStruct: the named types "Stats"
-//     and "Metrics", the same rule that exempts them from flushreset)
-//     become report columns, so every field is audited both ways.
-//     Written but never read: the core spends cycles maintaining a
-//     counter no table ever shows — dead weight at best, a stale copy of
-//     a real metric at worst. Read but never written: a reporter renders
-//     a field nothing ever sets, an always-zero column that looks like
-//     data.
+//     and "Metrics") become report columns, so every field is audited
+//     both ways. Written but never read: the core spends cycles
+//     maintaining a counter no table ever shows — dead weight at best,
+//     a stale copy of a real metric at worst. Read but never written: a
+//     reporter renders a field nothing ever sets, an always-zero column
+//     that looks like data.
 //   - Every other unexported field of a named struct is audited for the
 //     first failure only: written but never read. Such a field costs a
 //     store on every path that maintains it, and its only readers, if

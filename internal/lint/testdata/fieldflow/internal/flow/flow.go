@@ -1,8 +1,7 @@
-// Package flow is the write-closure engine's corpus: whole-struct
-// writes and method values, asserted directly by fieldflow_test.go
-// rather than through any analyzer (so a flushreset regression
-// localizes to the engine vs the check). It deliberately trips no
-// analyzer: no seed function names, no directives, no expectations.
+// Package flow holds writes that statshygiene must not take for dead
+// state. A store through a pointer field reads the pointer: `*o.ptr = v`
+// needs ptr, so ptr is live although nothing else reads it. The corpus
+// expects no finding.
 package flow
 
 type inner struct {
@@ -11,31 +10,18 @@ type inner struct {
 }
 
 type outer struct {
-	in    inner
-	ptr   *inner
-	count uint64
+	in  inner
+	ptr *inner
 }
 
-// wholeStruct replaces struct values: writing o.in writes inner.a and
-// inner.b too, and *o.ptr = ... writes every field of the pointee
-// without writing the ptr field itself.
+// wholeStruct replaces struct values: o.in directly, and the pointee of
+// o.ptr through the pointer.
 func (o *outer) wholeStruct() {
 	o.in = inner{}
 	*o.ptr = inner{a: 1}
 }
 
-// methodValue escapes the static call graph: bump runs via a bound
-// method value, which the conservative closure must still follow.
-func (o *outer) methodValue() {
-	f := o.bump
-	f()
-}
-
-func (o *outer) bump() { o.count++ }
-
-// total reads what the functions above only write. ptr (read by the
-// dereference in wholeStruct) needs no such reader: statshygiene counts
-// it as read.
+// total reads the fields wholeStruct writes; ptr needs no such reader.
 func (o *outer) total() uint64 {
-	return o.in.a + o.in.b + o.count
+	return o.in.a + o.in.b
 }

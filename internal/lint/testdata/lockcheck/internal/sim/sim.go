@@ -221,12 +221,12 @@ func (s *store) compact() {
 	s.mu.Unlock()
 }
 
-// Directives stack in a field's doc comment in any order: the guardedby
-// above a unit directive still guards the field.
+// A directive shares a field's doc comment with its text: the guardedby
+// below the doc line still guards the field.
 type stacked struct {
 	mu sync.Mutex
+	// n sums the added amounts.
 	//rarlint:guardedby mu
-	//rarlint:unit cycles
 	n uint64
 }
 

@@ -58,14 +58,27 @@ func trailing() (time.Time, time.Time) {
 	return a, b
 }
 
-// The fast-forward waiver verbs are retired: each is an unknown
-// directive, so a waiver carried over from an older branch fails
-// instead of lingering.
+// The retired waiver verbs — the fast-forward's quiescent and nscaled,
+// and pure, survives, unit and hot — are each an unknown directive, so
+// a waiver carried over from an older branch fails instead of
+// lingering.
 type core struct {
 	//lintwant lint
 	ready uint64 //rarlint:quiescent x
 	//lintwant lint
 	skipped uint64 //rarlint:nscaled x
+	//lintwant lint
+	resume uint64 //rarlint:survives consumed at exit
+	//lintwant lint
+	cycle uint64 //rarlint:unit cycles
 }
 
-func (c *core) pending() uint64 { return c.ready + c.skipped }
+// lintwant lint
+//
+//rarlint:pure
+func (c *core) pending() uint64 { return c.ready + c.skipped + c.resume + c.cycle }
+
+// lintwant lint
+//
+//rarlint:hot
+func (c *core) tick() { c.cycle++ }

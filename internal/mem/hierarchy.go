@@ -23,7 +23,7 @@ const (
 // Result describes the outcome of a data access.
 type Result struct {
 	// DoneAt is the cycle the data is available to the core.
-	DoneAt uint64 //rarlint:unit cycles
+	DoneAt uint64
 	// LLCMiss reports whether the access missed the last-level cache and
 	// went to memory.
 	LLCMiss bool
@@ -64,10 +64,10 @@ func DefaultConfig() Config {
 
 // Stats is a snapshot of hierarchy counters.
 type Stats struct {
-	DemandLoads     uint64 //rarlint:unit uops
-	DemandLLCMisses uint64 //rarlint:unit uops
-	LLCMissCycles   uint64 //rarlint:unit cycles -- Σ per-miss latency over demand+runahead misses
-	LLCBusyCycles   uint64 //rarlint:unit cycles -- cycles with ≥1 such miss outstanding
+	DemandLoads     uint64
+	DemandLLCMisses uint64
+	LLCMissCycles   uint64 // Σ per-miss latency over demand+runahead misses
+	LLCBusyCycles   uint64 // cycles with ≥1 such miss outstanding
 	DRAMReads       uint64
 	DRAMWrites      uint64
 	PrefetchIssued  uint64
@@ -77,9 +77,6 @@ type Stats struct {
 // MLP returns the average number of outstanding long-latency misses over
 // the cycles at least one is outstanding — the paper's MLP metric
 // (Fig. 8b).
-//
-//rarlint:pure
-//rarlint:unit 1
 func (s Stats) MLP() float64 {
 	if s.LLCBusyCycles == 0 {
 		return 0
@@ -238,8 +235,6 @@ func (h *Hierarchy) prefetch(lines []uint64, now uint64, toL1 bool) {
 // NextFillAt returns the earliest cycle after now at which an outstanding
 // L1D miss fills, or ok=false when none is in flight — the memory system's
 // contribution to the core's next-event computation (see MSHRs.NextFillAt).
-//
-//rarlint:pure
 func (h *Hierarchy) NextFillAt(now uint64) (uint64, bool) {
 	return h.mshrs.NextFillAt(now)
 }

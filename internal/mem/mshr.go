@@ -102,8 +102,6 @@ func (m *MSHRs) Allocate(addr, now, fillAt uint64) {
 // clock may skip: every DRAM/LLC return time is registered here, so no
 // data arrival can fall inside a skipped window. Read-only: unlike the
 // access paths it does not reap expired entries.
-//
-//rarlint:pure
 func (m *MSHRs) NextFillAt(now uint64) (fillAt uint64, ok bool) {
 	if m.live == 0 {
 		return 0, false
@@ -123,8 +121,6 @@ func (m *MSHRs) NextFillAt(now uint64) (fillAt uint64, ok bool) {
 }
 
 // Outstanding returns the number of in-flight misses at cycle now.
-//
-//rarlint:pure
 func (m *MSHRs) Outstanding(now uint64) int {
 	if m.minFill > now {
 		return m.live
@@ -140,6 +136,4 @@ func (m *MSHRs) Outstanding(now uint64) int {
 
 // FullStalls returns how many misses Admit turned away because the file
 // was full.
-//
-//rarlint:pure
 func (m *MSHRs) FullStalls() uint64 { return m.full }

@@ -7,8 +7,6 @@ package metrics
 import "math"
 
 // ArithMean returns the arithmetic mean of xs (0 for an empty slice).
-//
-//rarlint:pure
 func ArithMean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -31,8 +29,6 @@ func valid(x float64) bool {
 // cell must not silently zero the whole suite aggregate. A non-empty
 // slice with no valid value returns NaN so the corruption stays visible;
 // an empty slice returns 0.
-//
-//rarlint:pure
 func HarmMean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -54,8 +50,6 @@ func HarmMean(xs []float64) float64 {
 
 // GeoMean returns the geometric mean of the positive finite values in
 // xs, with the same skip-invalid policy as HarmMean.
-//
-//rarlint:pure
 func GeoMean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -76,8 +70,6 @@ func GeoMean(xs []float64) float64 {
 }
 
 // Ratio returns a/b, or 0 when b is 0.
-//
-//rarlint:pure
 func Ratio(a, b float64) float64 {
 	if b == 0 {
 		return 0

@@ -85,11 +85,7 @@ func (t *Table) WriteCSV(w io.Writer) {
 }
 
 // F formats a float with three decimals, for ad-hoc rows.
-//
-//rarlint:pure
 func F(v float64) string { return fmt.Sprintf("%.3f", v) }
 
 // X formats a ratio as "N.NNx".
-//
-//rarlint:pure
 func X(v float64) string { return fmt.Sprintf("%.2fx", v) }

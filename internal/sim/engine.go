@@ -218,7 +218,8 @@ type CellProgress struct {
 	Source string
 	// Dur is the simulation wall-clock time; zero for cache hits.
 	Dur time.Duration
-	// IPC and MLP summarise the cell's result.
+	// Stats is the cell's result; IPC and MLP summarise it.
+	Stats    core.Stats
 	IPC, MLP float64
 	// Metrics is the engine counter snapshot after this cell.
 	Metrics Metrics
@@ -434,6 +435,7 @@ func (e *Engine) progress(key CellKey, source string, dur time.Duration, st core
 		Key:     key,
 		Source:  source,
 		Dur:     dur,
+		Stats:   st,
 		IPC:     st.IPC(),
 		MLP:     st.Mem.MLP(),
 		Metrics: e.Metrics(),

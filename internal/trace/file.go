@@ -257,8 +257,6 @@ func (fs *FileSource) Next(in *isa.Inst) {
 // looping at the end — the batch face of Next (see BlockSource). Each
 // wrap-free stretch is one bulk copy instead of a per-record interface
 // call, which is where replayed traces spend their synthesis time.
-//
-//rarlint:hot
 func (fs *FileSource) NextBlock(dst []isa.Inst) {
 	for len(dst) > 0 {
 		n := copy(dst, fs.insts[fs.pos:])
@@ -278,8 +276,6 @@ func (fs *FileSource) WrongPath(in *isa.Inst, pc uint64) {
 
 // WrongPathBlock synthesises len(dst) consecutive wrong-path instructions
 // starting at pc — the batch face of WrongPath (see BlockSource).
-//
-//rarlint:hot
 func (fs *FileSource) WrongPathBlock(dst []isa.Inst, pc uint64) {
 	fs.wp.wrongPathBlock(dst, pc)
 }

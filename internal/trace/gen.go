@@ -220,8 +220,6 @@ func (g *Generator) Next(in *isa.Inst) {
 // straight into its own buffer. The walk state afterwards is exactly that
 // of len(dst) consecutive Next calls, so block and scalar reads of the
 // same generator interleave freely.
-//
-//rarlint:hot
 func (g *Generator) NextBlock(dst []isa.Inst) {
 	for i := range dst {
 		g.Next(&dst[i])
@@ -308,8 +306,6 @@ func (g *Generator) WrongPath(in *isa.Inst, pc uint64) {
 // instructions starting at pc — the batch face of WrongPath (see
 // BlockSource). The synthesiser's RNG is consumed in exactly the scalar
 // order, so callers must only batch instructions that will all be fetched.
-//
-//rarlint:hot
 func (g *Generator) WrongPathBlock(dst []isa.Inst, pc uint64) {
 	g.wp.wrongPathBlock(dst, pc)
 }

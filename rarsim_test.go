@@ -178,3 +178,35 @@ func TestTraceReplayEquivalence(t *testing.T) {
 		t.Errorf("trace name not propagated: %q", replay.Benchmark)
 	}
 }
+
+// TestRunTimelineCoversTheRun pins the AVF timeline: its windows tile
+// the run from cycle 0 and together hold every ACE bit-cycle the run
+// resolved, which the same run reports as its TotalABC.
+func TestRunTimelineCoversTheRun(t *testing.T) {
+	const window = 10_000
+	opt := rarsim.Options{Instructions: 25_000, Seed: 42}
+	series, bits, err := rarsim.RunTimeline(rarsim.BaselineConfig(), rarsim.RAR, "mcf", opt, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := rarsim.Run(rarsim.BaselineConfig(), rarsim.RAR, "mcf", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bits != st.TotalBits {
+		t.Errorf("timeline bits = %d, want %d", bits, st.TotalBits)
+	}
+	if want := int((st.Cycles-1)/window) + 1; len(series) != want {
+		t.Fatalf("%d windows over %d cycles, want %d", len(series), st.Cycles, want)
+	}
+	var sum uint64
+	for i, w := range series {
+		if w.StartCycle != uint64(i)*window {
+			t.Errorf("window %d starts at cycle %d, want %d", i, w.StartCycle, i*window)
+		}
+		sum += w.ABC
+	}
+	if sum != st.TotalABC {
+		t.Errorf("timeline ABC sums to %d, want the run's %d", sum, st.TotalABC)
+	}
+}
