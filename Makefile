@@ -12,12 +12,12 @@ ci: vet lint build race
 vet:
 	$(GO) vet ./...
 
-# All five checks (run concurrently after the shared type-check
+# All three checks (run concurrently after the shared type-check
 # load), with the repo's own _test.go files loaded too;
 # exits 1 on any finding, including malformed or stale directives.
 # vet rides along so `make lint` alone is the full static gate.
 lint: vet
-	$(GO) run ./cmd/rarlint -tests ./...
+	$(GO) run ./cmd/rarlint ./...
 
 build:
 	$(GO) build ./...

@@ -1,21 +1,20 @@
-// Command rarlint statically enforces the simulator's correctness
-// contracts: determinism of everything feeding the memoized simulation
-// cache, hygiene of the statistics that become report columns, coverage
-// of every config knob the sweeps claim to vary, error-return
-// discipline, and guarded-by lock discipline (//rarlint:guardedby,
-// //rarlint:locked). Pure standard library — go/parser, go/ast,
-// go/types — with no external dependencies.
+// Command rarlint statically enforces three of the simulator's
+// correctness contracts: determinism of everything feeding the memoized
+// simulation cache, error-return discipline, and guarded-by lock
+// discipline (//rarlint:guardedby, //rarlint:locked). It always runs
+// every check over the whole module, _test.go files included. Pure
+// standard library — go/parser, go/ast, go/types — with no external
+// dependencies.
 //
 // Usage:
 //
 //	rarlint ./...                         # whole module, all checks (CI mode)
-//	rarlint -checks determinism,lockcheck # a subset of the checks
 //	rarlint -json ./...                   # schema-stable JSON findings for CI
-//	rarlint -tests ./...                  # load and analyze _test.go files too
 //	rarlint path/to/module                # another module root (e.g. a corpus)
 //
-// Exit status: 0 clean, 1 findings, 2 load error. Audited exceptions are
-// annotated in place, on the flagged line or alone on the line above it:
+// Exit status: 0 clean, 1 findings, 2 usage or load error. Audited
+// exceptions are annotated in place, on the flagged line or alone on
+// the line above it:
 //
 //	start := time.Now() //rarlint:allow determinism host-side timing
 //

@@ -24,10 +24,11 @@ import "fmt"
 //     (front-end pipe exit), fetchStallUntil (L1I miss, flush or re-steer
 //     penalty), fuBusyTill (unpipelined units), headSince+RunaheadTimer
 //     (the runahead/FLUSH countdown timer) and blocking.doneAt (runahead
-//     exit). nextEventCycle collects the minimum over exactly these, plus
-//     a defensive bound from the MSHR file's earliest outstanding fill —
-//     every DRAM return time is registered there, so no data arrival can
-//     land inside a skipped window unnoticed.
+//     exit). nextEventCycle collects the minimum over exactly these. A
+//     memory fill needs no event of its own: it changes nothing until a
+//     uop consumes it, an in-flight load's doneAt is its fill cycle, and
+//     the MSHR file reaps an expired entry only when an access, itself
+//     an issue event, next reaches it.
 //  2. Per-cycle accounting is a pure integral of constant state. The only
 //     work a quiescent cycle performs is tickBlocked: the Figure 5
 //     attribution counters and the ACE ledger's cumulative blocked-cycle
@@ -191,20 +192,6 @@ func (c *Core) nextEventCycle() uint64 {
 		}
 	}
 
-	// Defensive bound from the memory system: never skip past the next
-	// outstanding L1D miss fill. Fills change nothing until a uop consumes
-	// them — every consumer is already an event above — but clamping here
-	// keeps any overlooked coupling through the MSHR file (occupancy,
-	// merges) from ever spanning a skipped window.
-	if fill, ok := c.hier.NextFillAt(c.cycle); ok {
-		if fill <= busy {
-			return busy
-		}
-		if fill < t {
-			t = fill
-		}
-	}
-
 	return t
 }
 
@@ -257,11 +244,12 @@ func (c *Core) skipTo(target uint64) {
 // jumpClock returns the lockstep clock for the cycle before due, the
 // earliest due cycle of the live cores (those short of target), when every
 // live core is deferred past the next cycle. A deferred core's due cycle
-// already lies at or below its own earliest outstanding L1D fill
-// (nextEventCycle's defensive bound; a deferred core makes no new
-// accesses). Finished cores are no longer probed, so the jump is lowered
-// below their outstanding fills too: no memory-side return time can land
-// inside a jumped stretch.
+// already covers its own memory returns: each in-flight load completes at
+// its fill cycle, an event of nextEventCycle (the completion wheel, or
+// cwOvMin beyond it), and a deferred core makes no new accesses. Finished
+// cores are no longer probed, so the jump is lowered below their
+// outstanding fills: no memory-side return time can land inside a jumped
+// stretch.
 func jumpClock(cores []*Core, now, target, due uint64) uint64 {
 	for _, c := range cores {
 		if c.s.Committed >= target {

@@ -146,9 +146,6 @@ func Fig7(c Config) error {
 	if err != nil {
 		return err
 	}
-	names := func(s config.Scheme) string { return s.Name }
-	_ = names
-
 	mttf := report.NewTable("Figure 7a: MTTF relative to OoO (higher is better)",
 		"benchmark", "FLUSH", "PRE", "RAR-LATE", "RAR")
 	abc := report.NewTable("Figure 7b: ABC relative to OoO (lower is better)",

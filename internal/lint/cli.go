@@ -26,12 +26,11 @@ const (
 func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rarlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	checks := fs.String("checks", "", "comma-separated checks to run (default: all)")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
-	withTests := fs.Bool("tests", false, "include _test.go files (determinism and errdiscipline cover them)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: rarlint [-checks list] [-json] [-tests] [module-dir | ./...]\n\n"+
-			"Static analysis of a Go module's simulator contracts. Checks:\n")
+		fmt.Fprintf(stderr, "usage: rarlint [-json] [module-dir | ./...]\n\n"+
+			"Static analysis of a Go module's simulator contracts, _test.go files\n"+
+			"included. Checks:\n")
 		for _, a := range Analyzers() {
 			fmt.Fprintf(stderr, "  %-16s %s\n", a.Name, a.Doc)
 		}
@@ -64,17 +63,13 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "rarlint:", err)
 		return ExitError
 	}
-	load := LoadModule
-	if *withTests {
-		load = LoadModuleWithTests
-	}
-	mod, err := load(root)
+	mod, err := LoadModuleWithTests(root)
 	if err != nil {
 		fmt.Fprintln(stderr, "rarlint:", err)
 		return ExitError
 	}
 
-	diags, err := Run(mod, strings.Split(*checks, ","))
+	diags, err := Run(mod, nil)
 	if err != nil {
 		fmt.Fprintln(stderr, "rarlint:", err)
 		return ExitError

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -33,70 +34,22 @@ func TestMainExitCodes(t *testing.T) {
 		}
 	})
 
-	t.Run("checks-filter", func(t *testing.T) {
-		// The determinism corpus has no errdiscipline findings, so
-		// filtering to errdiscipline comes back clean, while filtering to
-		// determinism keeps its findings.
-		var out, errb strings.Builder
-		code := Main([]string{"-checks", "errdiscipline", filepath.Join("testdata", "determinism")}, &out, &errb)
-		if code != ExitClean {
-			t.Fatalf("exit = %d, want %d\nstdout:\n%s\nstderr:\n%s", code, ExitClean, out.String(), errb.String())
-		}
-		out.Reset()
-		errb.Reset()
-		code = Main([]string{"-checks", "determinism", filepath.Join("testdata", "determinism")}, &out, &errb)
-		if code != ExitFindings {
-			t.Fatalf("exit = %d, want %d\nstderr:\n%s", code, ExitFindings, errb.String())
-		}
-		if !strings.Contains(out.String(), "determinism") {
-			t.Errorf("-checks filter lost the determinism findings:\n%s", out.String())
-		}
-	})
-
-	t.Run("check-alias", func(t *testing.T) {
-		// The -check alias is gone; -checks is the one spelling. A caller
-		// still passing -check gets a usage error and no analysis, not a
-		// run of every check.
-		var out, errb strings.Builder
-		code := Main([]string{"-check", "determinism", filepath.Join("testdata", "determinism")}, &out, &errb)
-		if code != ExitError {
-			t.Fatalf("exit = %d, want %d\nstdout:\n%s\nstderr:\n%s", code, ExitError, out.String(), errb.String())
-		}
-		if out.Len() != 0 {
-			t.Errorf("-check still ran the analyzers:\n%s", out.String())
-		}
-		if !strings.Contains(errb.String(), "flag provided but not defined: -check") {
-			t.Errorf("stderr lacks the undefined-flag error:\n%s", errb.String())
-		}
-		if !strings.Contains(errb.String(), "[-checks list]") {
-			t.Errorf("usage does not name -checks:\n%s", errb.String())
-		}
-	})
-
-	t.Run("check-alias-unknown", func(t *testing.T) {
-		// -check is rejected while parsing flags, before any check name
-		// is resolved, so the error is about the flag, not the name.
-		var out, errb strings.Builder
-		code := Main([]string{"-check", "nosuch", filepath.Join("testdata", "errdiscipline")}, &out, &errb)
-		if code != ExitError {
-			t.Fatalf("exit = %d, want %d", code, ExitError)
-		}
-		if !strings.Contains(errb.String(), "flag provided but not defined: -check") {
-			t.Errorf("stderr lacks the undefined-flag error:\n%s", errb.String())
-		}
-		if strings.Contains(errb.String(), "unknown check") {
-			t.Errorf("-check reached check-name resolution:\n%s", errb.String())
-		}
-	})
-
-	t.Run("unknown-check", func(t *testing.T) {
-		var out, errb strings.Builder
-		code := Main([]string{"-checks", "nosuch", filepath.Join("testdata", "errdiscipline")}, &out, &errb)
-		if code != ExitError {
-			t.Fatalf("exit = %d, want %d", code, ExitError)
-		}
-		if !strings.Contains(errb.String(), "unknown check") {
-			t.Errorf("stderr lacks the unknown-check error:\n%s", errb.String())
+	t.Run("retired-flags", func(t *testing.T) {
+		// -checks and -tests are gone: every run covers every check and
+		// loads test files. A caller still passing either gets a usage
+		// error and no analysis.
+		for _, args := range [][]string{{"-checks", "determinism"}, {"-tests"}} {
+			var out, errb strings.Builder
+			code := Main(append(args, filepath.Join("testdata", "determinism")), &out, &errb)
+			if code != ExitError {
+				t.Fatalf("%v: exit = %d, want %d\nstdout:\n%s\nstderr:\n%s", args, code, ExitError, out.String(), errb.String())
+			}
+			if out.Len() != 0 {
+				t.Errorf("%v still ran the analyzers:\n%s", args, out.String())
+			}
+			if !strings.Contains(errb.String(), "flag provided but not defined: "+args[0]) {
+				t.Errorf("%v: stderr lacks the undefined-flag error:\n%s", args, errb.String())
+			}
 		}
 	})
 
@@ -137,8 +90,17 @@ func TestJSONOutput(t *testing.T) {
 	})
 
 	t.Run("clean", func(t *testing.T) {
+		dir := t.TempDir()
+		for name, src := range map[string]string{
+			"go.mod":   "module clean\n\ngo 1.22\n",
+			"clean.go": "package clean\n",
+		} {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 		var out, errb strings.Builder
-		code := Main([]string{"-json", "-checks", "errdiscipline", filepath.Join("testdata", "determinism")}, &out, &errb)
+		code := Main([]string{"-json", dir}, &out, &errb)
 		if code != ExitClean {
 			t.Fatalf("exit = %d, want %d\nstderr:\n%s", code, ExitClean, errb.String())
 		}
@@ -148,42 +110,46 @@ func TestJSONOutput(t *testing.T) {
 	})
 }
 
-// TestTestsFlag pins the -tests loader: without it test files are
-// invisible; with it both in-package and external-test-package files
-// are loaded, type-checked and analyzed.
+// TestTestsFlag pins the test-file loading of the testsflag corpus,
+// whose only violations sit in an in-package and an external test
+// file: LoadModule leaves test files out and finds nothing, while Main,
+// which always loads them, type-checks and analyzes both.
 func TestTestsFlag(t *testing.T) {
 	dir := filepath.Join("testdata", "testsflag")
 
-	var out, errb strings.Builder
-	if code := Main([]string{dir}, &out, &errb); code != ExitClean {
-		t.Fatalf("without -tests: exit = %d, want %d\nstdout:\n%s\nstderr:\n%s",
-			code, ExitClean, out.String(), errb.String())
+	mod, err := LoadModule(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := Run(mod, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 0 {
+		t.Fatalf("without test files: %d findings, want none: %v", len(diags), diags)
 	}
 
-	out.Reset()
-	errb.Reset()
-	if code := Main([]string{"-tests", dir}, &out, &errb); code != ExitFindings {
-		t.Fatalf("with -tests: exit = %d, want %d\nstdout:\n%s\nstderr:\n%s",
+	var out, errb strings.Builder
+	if code := Main([]string{dir}, &out, &errb); code != ExitFindings {
+		t.Fatalf("exit = %d, want %d\nstdout:\n%s\nstderr:\n%s",
 			code, ExitFindings, out.String(), errb.String())
 	}
 	for _, file := range []string{"sim_test.go", "ext_test.go"} {
 		if !strings.Contains(out.String(), file) {
-			t.Errorf("-tests findings lack the violation in %s:\n%s", file, out.String())
+			t.Errorf("findings lack the violation in %s:\n%s", file, out.String())
 		}
 	}
 }
 
 // TestRepoIsClean is the acceptance regression: rarlint on this
-// repository itself must exit 0 with the full five-check suite — every
-// real finding is either fixed or carries an audited directive — and
-// stay clean when the repository's own test files are loaded too. The
-// hard-coded wantChecks list is deliberate: registering a sixth
-// analyzer without extending it (and therefore without auditing the
-// tree against it) fails here, so a new check cannot ship unwired.
+// repository itself, its test files included, must exit 0 with the full
+// three-check suite — every real finding is either fixed or carries an
+// audited directive. The hard-coded wantChecks list is deliberate:
+// registering a fourth analyzer without extending it (and therefore
+// without auditing the tree against it) fails here, so a new check
+// cannot ship unwired.
 func TestRepoIsClean(t *testing.T) {
-	wantChecks := []string{
-		"determinism", "statshygiene", "configcoverage", "errdiscipline", "lockcheck",
-	}
+	wantChecks := []string{"determinism", "errdiscipline", "lockcheck"}
 	as := Analyzers()
 	if len(as) != len(wantChecks) {
 		t.Fatalf("Analyzers() has %d checks, want %d", len(as), len(wantChecks))
@@ -198,14 +164,6 @@ func TestRepoIsClean(t *testing.T) {
 	code := Main([]string{filepath.Join("..", "..")}, &out, &errb)
 	if code != ExitClean {
 		t.Fatalf("rarlint on the repo: exit = %d, want %d\nstdout:\n%s\nstderr:\n%s",
-			code, ExitClean, out.String(), errb.String())
-	}
-
-	out.Reset()
-	errb.Reset()
-	code = Main([]string{"-tests", filepath.Join("..", "..")}, &out, &errb)
-	if code != ExitClean {
-		t.Fatalf("rarlint -tests on the repo: exit = %d, want %d\nstdout:\n%s\nstderr:\n%s",
 			code, ExitClean, out.String(), errb.String())
 	}
 }

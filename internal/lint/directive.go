@@ -159,8 +159,8 @@ func (m *Module) resolveDirectives(p *Package, f *ast.File, src []byte) {
 }
 
 // validate returns why d is malformed, or "" when it is well-formed.
-// Directives are validated even when -checks disables the check they
-// serve: a typo must not hide behind a filter.
+// Directives are validated even when Run's checks argument leaves out
+// the check they serve: a typo must not hide behind a filter.
 func (d *directive) validate() string {
 	v, ok := verbs[d.verb]
 	switch {
@@ -228,8 +228,9 @@ func (m *Module) suppress(diags []Diagnostic) []Diagnostic {
 // directiveFindings reports, after the checks in ran have run and
 // suppression is done, every malformed directive, every well-formed
 // declaration directive its check ran without consuming, and — only when
-// every check ran, since under a -checks filter an allow for a disabled
-// check is dormant, not stale — every allow that suppressed nothing.
+// every check ran, since under Run's checks filter an allow for a check
+// that did not run is dormant, not stale — every allow that suppressed
+// nothing.
 func (m *Module) directiveFindings(ran map[string]bool) []Diagnostic {
 	all := len(ran) == len(Analyzers())
 	var diags []Diagnostic

@@ -1,16 +1,16 @@
 // Package lint implements rarlint, a repo-specific static analyzer that
-// enforces the simulator's correctness contracts: determinism of
-// everything feeding the memoized simulation cache, hygiene of the
-// statistics structs that become report columns and of the state no
-// shipped code reads, coverage of every config knob the experiment
-// sweeps claim to vary, error-return discipline in the simulator
-// packages, and guarded-by lock discipline of the concurrent engine
-// front-end.
+// enforces three of the simulator's correctness contracts: determinism
+// of everything feeding the memoized simulation cache, error-return
+// discipline in the simulator packages, and guarded-by lock discipline
+// of the concurrent engine front-end. Two more contracts rest on the
+// results gate (TestFigureCells in internal/experiments) instead: a
+// report column that is always zero or dropped, and an ablation knob
+// wired to nothing, move its pinned cells or CSVs (DESIGN.md §8).
 //
 // The analyses are whole-module: rarlint loads and type-checks every
-// package of the module with go/parser and go/types (standard library
-// only — no external dependencies; _test.go files join in with -tests),
-// then runs each analyzer over the typed ASTs. Findings carry
+// package of the module, _test.go files included, with go/parser and
+// go/types (standard library only — no external dependencies), then
+// runs each analyzer over the typed ASTs. Findings carry
 // file:line:column positions; the source tree talks back through
 // //rarlint: directives —
 //
@@ -53,7 +53,7 @@ func (d Diagnostic) String() string {
 
 // An Analyzer is one named check over a loaded module.
 type Analyzer struct {
-	// Name is the check name used in -checks and in allow directives.
+	// Name is the check name used in findings and in allow directives.
 	Name string
 	// Doc is a one-line description.
 	Doc string
@@ -70,18 +70,8 @@ func Analyzers() []*Analyzer {
 			Run:  determinism,
 		},
 		{
-			Name: "statshygiene",
-			Doc:  "Stats/Metrics fields written but never reported or reported but never written, and unexported internal state written but never read outside tests",
-			Run:  statsHygiene,
-		},
-		{
-			Name: "configcoverage",
-			Doc:  "config knobs declared in internal/config but never read by the simulator",
-			Run:  configCoverage,
-		},
-		{
 			Name: "errdiscipline",
-			Doc:  "discarded error returns in non-test internal packages",
+			Doc:  "discarded error returns in internal packages, their tests included",
 			Run:  errDiscipline,
 		},
 		{

@@ -2,14 +2,13 @@ package lint
 
 // Module loading: discover every package in a Go module, parse it with
 // go/parser and type-check it with go/types, using only the standard
-// library. The loader skips _test.go files by default — rarlint's
-// contracts are about shipped simulator code — and skips testdata/,
-// vendor/ and hidden directories, mirroring the go tool's own rules.
-// LoadModuleWithTests opts test files in: in-package _test.go files
-// augment their package, external <pkg>_test files become their own
-// package, and Module.isTestFile lets each analyzer decide whether test
-// code is in its scope (determinism and errdiscipline include it; the
-// struct-shape analyses do not).
+// library. Both loaders skip testdata/, vendor/ and hidden directories,
+// mirroring the go tool's own rules. LoadModule skips _test.go files;
+// LoadModuleWithTests, the one rarlint's command line uses, loads them:
+// in-package _test.go files augment their package, external <pkg>_test
+// files become their own package, and Module.isTestFile lets each
+// analyzer decide whether test code is in its scope (determinism and
+// errdiscipline include it; lockcheck does not).
 
 import (
 	"fmt"
@@ -58,31 +57,15 @@ type Module struct {
 	testFiles map[string]bool
 }
 
-// isTestFile reports whether f is a _test.go file (only ever true in
-// tests mode; the default loader does not parse them).
+// isTestFile reports whether f is a _test.go file (only ever true for
+// LoadModuleWithTests; LoadModule does not parse them).
 func (m *Module) isTestFile(f *ast.File) bool {
-	return m.isTestPos(f.Package)
-}
-
-// isTestPos reports whether pos lies in a _test.go file.
-func (m *Module) isTestPos(pos token.Pos) bool {
-	return m.testFiles[m.Fset.Position(pos).Filename]
+	return m.testFiles[m.Fset.Position(f.Package).Filename]
 }
 
 // IsInternal reports whether p lives under <module>/internal/.
 func (m *Module) IsInternal(p *Package) bool {
 	return strings.HasPrefix(p.Path, m.Path+"/internal/")
-}
-
-// isStatsStruct reports whether tn is a statistics struct: a struct type
-// named Stats or Metrics declared outside test files under
-// <module>/internal/. statshygiene audits its fields as report columns.
-func (m *Module) isStatsStruct(tn *types.TypeName) bool {
-	if (tn.Name() != "Stats" && tn.Name() != "Metrics") || tn.IsAlias() || m.isTestPos(tn.Pos()) {
-		return false
-	}
-	_, isStruct := tn.Type().Underlying().(*types.Struct)
-	return isStruct && strings.HasPrefix(tn.Pkg().Path(), m.Path+"/internal/")
 }
 
 // determinismScoped lists the internal packages whose state feeds
@@ -101,12 +84,6 @@ func (m *Module) IsDeterminismScoped(p *Package) bool {
 		}
 	}
 	return false
-}
-
-// IsConfigPackage reports whether p is the module's configuration
-// package (the home of the sweep knobs configcoverage audits).
-func (m *Module) IsConfigPackage(p *Package) bool {
-	return p.Path == m.Path+"/internal/config"
 }
 
 // loader resolves imports for the module being checked: module-local

@@ -233,8 +233,8 @@ func (h *Hierarchy) prefetch(lines []uint64, now uint64, toL1 bool) {
 }
 
 // NextFillAt returns the earliest cycle after now at which an outstanding
-// L1D miss fills, or ok=false when none is in flight — the memory system's
-// contribution to the core's next-event computation (see MSHRs.NextFillAt).
+// L1D miss fills, or ok=false when none is in flight (see
+// MSHRs.NextFillAt).
 func (h *Hierarchy) NextFillAt(now uint64) (uint64, bool) {
 	return h.mshrs.NextFillAt(now)
 }

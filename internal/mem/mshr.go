@@ -98,10 +98,10 @@ func (m *MSHRs) Allocate(addr, now, fillAt uint64) {
 
 // NextFillAt returns the earliest cycle after now at which an in-flight
 // miss completes its fill, or ok=false when nothing is outstanding. The
-// core's stall fast-forward uses it as a conservative bound on how far the
-// clock may skip: every DRAM/LLC return time is registered here, so no
-// data arrival can fall inside a skipped window. Read-only: unlike the
-// access paths it does not reap expired entries.
+// lockstep clock jump stays below it on cores that have finished and are
+// no longer probed: every DRAM/LLC return time is registered here, so no
+// data arrival of theirs can fall inside a jumped stretch. Read-only:
+// unlike the access paths it does not reap expired entries.
 func (m *MSHRs) NextFillAt(now uint64) (fillAt uint64, ok bool) {
 	if m.live == 0 {
 		return 0, false

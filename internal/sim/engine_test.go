@@ -43,14 +43,26 @@ func matrixJSON(t *testing.T, rs *ResultSet, cores []config.Core, schemes []conf
 
 // TestEngineMemoizes runs the same matrix twice through one engine: the
 // second pass must be 100% cache hits with zero new simulations, and the
-// result sets must be byte-identical.
+// result sets must be byte-identical. A last Run of a cell the engine
+// already holds is a memory hit, reported to OnCell as "mem". The report
+// reads the engine's Metrics, so one made with the engine's lock held
+// never returns.
 func TestEngineMemoizes(t *testing.T) {
 	cores := []config.Core{config.Baseline()}
 	schemes := []config.Scheme{config.OoO, config.RAR}
 	benches := twoBenches(t)
 	opt := smallOpt()
 
+	var (
+		mu      sync.Mutex
+		sources = map[string]uint64{}
+	)
 	e := NewEngine()
+	e.OnCell = func(p CellProgress) {
+		mu.Lock()
+		defer mu.Unlock()
+		sources[p.Source]++
+	}
 	rs1, err := e.RunMatrix(cores, schemes, benches, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +91,28 @@ func TestEngineMemoizes(t *testing.T) {
 	j2 := matrixJSON(t, rs2, cores, schemes, benches)
 	if string(j1) != string(j2) {
 		t.Error("cached result set is not byte-identical to the simulated one")
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Run(cores[0], schemes[0], benches[0], opt)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("Run of a held cell did not return: its OnCell report deadlocked")
+	}
+	if m := e.Metrics(); m.Simulated != want || m.Hits != want+1 {
+		t.Errorf("after the last Run: simulated=%d hits=%d, want %d/%d", m.Simulated, m.Hits, want, want+1)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if sources["sim"] != want || sources["mem"] != want+1 || len(sources) != 2 {
+		t.Errorf("OnCell sources = %v, want %d sim and %d mem", sources, want, want+1)
 	}
 }
 
